@@ -26,14 +26,10 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "flocks/cq_eval.h"
-#include "flocks/eval.h"
 #include "optimizer/bandit.h"
 #include "optimizer/cost_model.h"
-#include "optimizer/dynamic.h"
 #include "optimizer/executor_support.h"
 #include "optimizer/history.h"
-#include "optimizer/plan_search.h"
 #include "workload/basket_gen.h"
 
 namespace qf {
@@ -68,40 +64,6 @@ QueryFlock PairFlock() {
   return bench::MustFlock(kPairQuery, FilterCondition::MinSupport(kSupport));
 }
 
-// Mirrors Shell::EvaluateLearned's dispatch (tests/learned_optimizer_test.cc
-// pins every arm bit-equal to the static evaluator, so this bench is pure
-// speed comparison).
-Relation RunArm(const BanditArm& arm, const QueryFlock& flock,
-                const Database& db, const CostModel& model) {
-  switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
-      QueryPlan plan = bench::MustOk(SearchPlanParameterSets(flock, model));
-      PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
-      return bench::MustOk(ExecutePlan(plan, flock, db, options));
-    }
-    case BanditArm::Kind::kDirect: {
-      FlockEvalOptions options;
-      for (const std::vector<std::size_t>& order : arm.orders) {
-        CqEvalOptions cq_options;
-        cq_options.join_order = order;
-        options.per_disjunct.push_back(std::move(cq_options));
-      }
-      return bench::MustOk(EvaluateFlock(flock, db, options));
-    }
-    case BanditArm::Kind::kDynamic: {
-      DynamicOptions options;
-      if (!arm.orders.empty()) options.join_order = arm.orders.front();
-      options.aggressiveness = arm.knobs.aggressiveness;
-      options.improvement_factor = arm.knobs.improvement_factor;
-      options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      return bench::MustOk(DynamicEvaluate(flock, db, options));
-    }
-  }
-  QF_CHECK_MSG(false, "unreachable arm kind");
-  return Relation();
-}
-
 // The arm with the given id from a fresh enumeration (arms are
 // re-enumerated per run, exactly as the shell does).
 BanditArm ArmById(const QueryFlock& flock, const CostModel& model,
@@ -122,7 +84,8 @@ void RunStaticArm(benchmark::State& state, const char* id) {
   std::size_t pairs = 0;
   for (auto _ : state) {
     BanditArm arm = ArmById(flock, model, id);
-    Relation result = RunArm(arm, flock, db, model);
+    Relation result = bench::MustOk(
+        ExecuteArm(arm, flock, db, [&] { return &model; }));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }
@@ -148,23 +111,27 @@ void BM_Bandit_Learned(benchmark::State& state) {
   PlanContext ctx = MakePlanContext(flock, model);
   OutcomeHistory history;
   PlanBandit bandit(history);
+  // Runs `arm` and records its outcome, as a learned RUN does.
+  auto play = [&](const BanditArm& arm) {
+    auto start = std::chrono::steady_clock::now();
+    Relation result =
+        bench::MustOk(ExecuteArm(arm, flock, db, [&] { return &model; }));
+    std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - start;
+    BanditOutcome outcome;
+    outcome.context = ctx.key;
+    outcome.arm = arm.id;
+    outcome.wall_ms = wall.count();
+    outcome.rows = static_cast<double>(result.size());
+    history.Record(outcome);
+    return result;
+  };
   // Warm-up: play every arm twice with real timings, outside the timer —
   // the steady state a session reaches after its first few learned RUNs.
   std::vector<BanditArm> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   for (int round = 0; round < 2; ++round) {
-    for (const BanditArm& arm : arms) {
-      auto start = std::chrono::steady_clock::now();
-      Relation result = RunArm(arm, flock, db, model);
-      std::chrono::duration<double, std::milli> wall =
-          std::chrono::steady_clock::now() - start;
-      BanditOutcome outcome;
-      outcome.context = ctx.key;
-      outcome.arm = arm.id;
-      outcome.wall_ms = wall.count();
-      outcome.rows = static_cast<double>(result.size());
-      history.Record(outcome);
-    }
+    for (const BanditArm& arm : arms) play(arm);
   }
   std::size_t pairs = 0;
   std::uint64_t explored = 0;
@@ -172,16 +139,7 @@ void BM_Bandit_Learned(benchmark::State& state) {
     std::vector<BanditArm> fresh =
         EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
     BanditChoice choice = bandit.Choose(ctx.key, fresh);
-    auto start = std::chrono::steady_clock::now();
-    Relation result = RunArm(fresh[choice.index], flock, db, model);
-    std::chrono::duration<double, std::milli> wall =
-        std::chrono::steady_clock::now() - start;
-    BanditOutcome outcome;
-    outcome.context = ctx.key;
-    outcome.arm = choice.arm_id;
-    outcome.wall_ms = wall.count();
-    outcome.rows = static_cast<double>(result.size());
-    history.Record(outcome);
+    Relation result = play(fresh[choice.index]);
     if (choice.exploring) ++explored;
     pairs = result.size();
     benchmark::DoNotOptimize(result);

@@ -72,10 +72,14 @@ void AppendTreeLines(const OpMetrics& node, int depth, std::string& out) {
   out += buf;
   if (node.est_rows >= 0) {
     // Skew as actual/estimate; "inf" when the model predicted zero rows
-    // but some showed up.
-    if (node.est_rows > 0) {
+    // but some showed up. A sub-row estimate renders as "est<1": dividing
+    // by it would print a meaningless 1e17-scale skew (ToJson keeps the
+    // raw value).
+    if (node.est_rows >= 1) {
       std::snprintf(buf, sizeof(buf), " est=%.0f (x%.2f)", node.est_rows,
                     static_cast<double>(node.rows_out) / node.est_rows);
+    } else if (node.est_rows > 0) {
+      std::snprintf(buf, sizeof(buf), " est<1");
     } else {
       std::snprintf(buf, sizeof(buf), " est=0 (%s)",
                     node.rows_out == 0 ? "exact" : "xinf");

@@ -111,6 +111,23 @@ PlanContext MakePlanContext(const QueryFlock& flock, const CostModel& model) {
   return ctx;
 }
 
+Result<BanditArm> ArmForMode(std::string_view mode,
+                             const DynamicKnobs& session_knobs) {
+  BanditArm arm;
+  arm.id = std::string(mode);
+  if (mode == "PLAN") {
+    arm.kind = BanditArm::Kind::kPlan;
+  } else if (mode == "DYNAMIC") {
+    arm.kind = BanditArm::Kind::kDynamic;
+    arm.knobs = session_knobs;
+  } else if (mode == "REDUCED") {
+    arm.full_reducer = true;
+  } else if (mode != "DIRECT") {
+    return InvalidArgumentError("unknown RUN mode: " + arm.id);
+  }
+  return arm;
+}
+
 std::vector<BanditArm> EnumerateArms(const QueryFlock& flock,
                                      const CostModel& model,
                                      bool dynamic_eligible,

@@ -25,8 +25,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "flocks/flock.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/history.h"
@@ -55,11 +57,22 @@ struct BanditArm {
 
   std::string id;
   Kind kind = Kind::kDirect;
-  // Per-disjunct join orders for kDirect (empty inner vector = text
-  // order); for kDynamic only orders[0] is used. Ignored for kPlan.
+  // Per-disjunct join orders for kDirect (missing or empty = text order);
+  // for kDynamic only orders[0] is used. Ignored for kPlan.
   std::vector<std::vector<std::size_t>> orders;
+  // kDirect only: Yannakakis full-reducer evaluation of every disjunct
+  // (the REDUCED mode; EnumerateArms never sets it).
+  bool full_reducer = false;
   DynamicKnobs knobs;  // kDynamic only
 };
+
+// The fixed arm an explicit RUN mode word names: DIRECT = kDirect in text
+// order, REDUCED = kDirect with the full reducer, PLAN = kPlan, DYNAMIC =
+// kDynamic in text order at `session_knobs`. The arm's id is the mode
+// word itself (the RUN mode tag); fixed arms never enter the outcome
+// history. INVALID_ARGUMENT for any other word.
+Result<BanditArm> ArmForMode(std::string_view mode,
+                             const DynamicKnobs& session_knobs);
 
 // The discretized feature vector, hashed. `description` is the
 // human-readable rendering SHOW OPTIMIZER STATE and EXPLAIN ANALYZE use.

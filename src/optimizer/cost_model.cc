@@ -225,4 +225,13 @@ CostModel::FilterEstimate CostModel::EstimateFilter(
   return out;
 }
 
+double CostModel::EstimateSurvivors(const UnionQuery& query,
+                                    double threshold) const {
+  double est = 0;
+  for (const ConjunctiveQuery& cq : query.disjuncts) {
+    est += EstimateFilter(cq, threshold).survivors;
+  }
+  return est;
+}
+
 }  // namespace qf

@@ -81,6 +81,11 @@ class CostModel {
   FilterEstimate EstimateFilter(const ConjunctiveQuery& cq,
                                 double threshold) const;
 
+  // EstimateFilter's survivors summed over the disjuncts of `query` — the
+  // estimate EXPLAIN ANALYZE sets against a support filter's actual
+  // answer count, and the learned optimizer's est-vs-actual skew.
+  double EstimateSurvivors(const UnionQuery& query, double threshold) const;
+
  private:
   DatabaseStats stats_;
   CostModelConfig config_;

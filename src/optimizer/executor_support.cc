@@ -1,8 +1,11 @@
 #include "optimizer/executor_support.h"
 
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "optimizer/join_order.h"
+#include "optimizer/plan_search.h"
 #include "optimizer/stats.h"
 
 namespace qf {
@@ -38,6 +41,89 @@ Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
   options.order_chooser = CostBasedOrderChooser();
   options.threads = threads;
   return ExecutePlan(plan, flock, db, options, info);
+}
+
+Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
+                            const Database& db, const CostModelSource& model,
+                            const ArmExecOptions& options) {
+  OpMetrics* metrics = options.metrics;
+  // Step children of a plan run start here (a caller may already have
+  // hung nodes under `metrics`, e.g. a declined incremental attempt).
+  const std::size_t first_child =
+      metrics != nullptr ? metrics->children.size() : 0;
+  std::optional<QueryPlan> plan;
+  Result<Relation> result = Relation();
+  switch (arm.kind) {
+    case BanditArm::Kind::kPlan: {
+      Result<const CostModel*> m = model();
+      if (!m.ok()) return m.status();
+      Result<QueryPlan> searched = SearchPlanParameterSets(flock, **m);
+      if (!searched.ok()) return searched.status();
+      plan = std::move(*searched);
+      PlanExecOptions plan_options;
+      plan_options.order_chooser = CostBasedOrderChooser();
+      plan_options.extra_predicates = options.extra_predicates;
+      plan_options.threads = options.threads;
+      plan_options.metrics = metrics;
+      plan_options.trace = options.trace;
+      plan_options.ctx = options.ctx;
+      result = ExecutePlan(*plan, flock, db, plan_options);
+      break;
+    }
+    case BanditArm::Kind::kDirect: {
+      FlockEvalOptions eval_options;
+      eval_options.threads = options.threads;
+      eval_options.metrics = metrics;
+      eval_options.trace = options.trace;
+      eval_options.ctx = options.ctx;
+      for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
+        CqEvalOptions cq_options;
+        if (d < arm.orders.size()) cq_options.join_order = arm.orders[d];
+        cq_options.full_reducer = arm.full_reducer;
+        eval_options.per_disjunct.push_back(std::move(cq_options));
+      }
+      result = EvaluateFlock(flock, db, eval_options, options.extra_predicates);
+      break;
+    }
+    case BanditArm::Kind::kDynamic: {
+      if (options.extra_predicates != nullptr &&
+          !options.extra_predicates->empty()) {
+        return UnimplementedError(
+            "RUN ... DYNAMIC does not support intermediate predicates yet; "
+            "use DIRECT or PLAN");
+      }
+      DynamicOptions dyn_options;
+      if (!arm.orders.empty()) dyn_options.join_order = arm.orders.front();
+      dyn_options.aggressiveness = arm.knobs.aggressiveness;
+      dyn_options.improvement_factor = arm.knobs.improvement_factor;
+      dyn_options.min_removed_fraction = arm.knobs.min_removed_fraction;
+      dyn_options.threads = options.threads;
+      dyn_options.metrics = metrics;
+      dyn_options.trace = options.trace;
+      dyn_options.ctx = options.ctx;
+      result = DynamicEvaluate(flock, db, dyn_options, options.dynamic_log);
+      break;
+    }
+  }
+  if (!result.ok() || metrics == nullptr || !flock.filter.IsSupportStyle()) {
+    return result;
+  }
+  // Est-vs-actual annotation, identical for every arm. Only support-style
+  // filters have a calibrated survivor model.
+  Result<const CostModel*> m = model();
+  if (!m.ok()) return m.status();
+  const double threshold = flock.filter.threshold;
+  metrics->est_rows = (*m)->EstimateSurvivors(flock.query, threshold);
+  if (plan.has_value()) {
+    // ExecutePlan pre-allocates one step child per step, in plan order.
+    for (std::size_t k = 0; k < plan->steps.size() &&
+                            first_child + k < metrics->children.size();
+         ++k) {
+      metrics->children[first_child + k]->est_rows =
+          (*m)->EstimateSurvivors(plan->steps[k].query, threshold);
+    }
+  }
+  return result;
 }
 
 }  // namespace qf

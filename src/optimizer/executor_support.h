@@ -8,7 +8,13 @@
 #ifndef QF_OPTIMIZER_EXECUTOR_SUPPORT_H_
 #define QF_OPTIMIZER_EXECUTOR_SUPPORT_H_
 
+#include <functional>
+#include <map>
+#include <string>
+
+#include "optimizer/bandit.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/dynamic.h"
 #include "plan/executor.h"
 
 namespace qf {
@@ -26,6 +32,38 @@ Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const Database& db,
                                       PlanExecInfo* info = nullptr,
                                       unsigned threads = 1);
+
+// Yields the cost model on demand. ExecuteArm calls it only when the arm
+// needs one — kPlan's plan search, or estimate annotations while metrics
+// are collected — so a caller whose model is expensive (the shell
+// computes statistics lazily) pays nothing for the other runs.
+using CostModelSource = std::function<Result<const CostModel*>()>;
+
+struct ArmExecOptions {
+  // Workers (1 = serial; every value yields the same result).
+  unsigned threads = 1;
+  // The arm's evaluator builds its operator tree under `metrics`; for
+  // support-style filters the node also gets the model's survivor
+  // estimate, and each kPlan step child its step's estimate.
+  OpMetrics* metrics = nullptr;
+  TraceSink* trace = nullptr;
+  QueryContext* ctx = nullptr;
+  // Intermediate-predicate overlays (materialized DEFINE views). kDynamic
+  // arms refuse to run when any is present.
+  const std::map<std::string, const Relation*>* extra_predicates = nullptr;
+  // Receives the §4.4 decision log of kDynamic arms.
+  DynamicLog* dynamic_log = nullptr;
+};
+
+// The one executor for BanditArm — explicit RUN modes (fixed arms),
+// learned arms, tests and benches all run through it. kPlan = §4.3 plan
+// search + ExecutePlan with cost-based step ordering, kDirect =
+// EvaluateFlock under the arm's join orders (and full reducer), kDynamic
+// = §4.4 DynamicEvaluate under the arm's knobs and orders[0]. The result
+// is identical for every arm and thread count.
+Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
+                            const Database& db, const CostModelSource& model,
+                            const ArmExecOptions& options = {});
 
 }  // namespace qf
 

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
 #include "shell/statement.h"
-#include "flocks/eval.h"
 #include "flocks/program_eval.h"
 #include "flocks/sql_emit.h"
 #include "mining/maximal.h"
@@ -127,6 +127,13 @@ Result<FilterCondition> ParseFilterSpec(std::string_view text,
   return filter;
 }
 
+// Copies of every relation of `db`, in name order.
+std::vector<Relation> RelationsOf(const Database& db) {
+  std::vector<Relation> rels;
+  for (const std::string& name : db.Names()) rels.push_back(db.Get(name));
+  return rels;
+}
+
 std::string PreviewRelation(Relation rel, std::size_t limit) {
   rel.SortRows();
   return rel.ToString(limit);
@@ -169,13 +176,39 @@ constexpr std::string_view kHelp =
     "  CHECKPOINT;                   # snapshot catalog + reset its WAL\n"
     "  HELP;\n";
 
+// The §4.4 knobs of `SET DYNAMIC <word> <v>`, persisted like every knob.
+// Knob values are int64, so the doubles travel milli-scaled under `key`
+// (2.5 -> 2500).
+struct DynamicKnobSpec {
+  std::string_view word;
+  std::string_view key;
+  bool unit_interval;  // value in [0, 1]; otherwise only >= 0
+  double DynamicKnobs::*field;
+};
+constexpr DynamicKnobSpec kDynamicKnobs[] = {
+    {"AGGRESSIVENESS", "DYN_AGGRESSIVENESS_MILLI", false,
+     &DynamicKnobs::aggressiveness},
+    {"IMPROVEMENT", "DYN_IMPROVEMENT_MILLI", true,
+     &DynamicKnobs::improvement_factor},
+    {"MINREMOVED", "DYN_MIN_REMOVED_MILLI", true,
+     &DynamicKnobs::min_removed_fraction},
+};
+
+std::string DescribeDynamicKnobs(const DynamicKnobs& knobs) {
+  char buf[112];
+  std::snprintf(buf, sizeof(buf),
+                "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
+                "min_removed=%.3f\n",
+                knobs.aggressiveness, knobs.improvement_factor,
+                knobs.min_removed_fraction);
+  return buf;
+}
+
 // Options shared by RUN and EXPLAIN ANALYZE:
 // [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>] [THREADS <n>] in any order.
 struct RunOptions {
-  std::string mode = "PLAN";
-  // True when the statement named a mode. An explicit mode always wins
-  // over SET OPTIMIZER LEARNED — "RUN f DYNAMIC" means DYNAMIC.
-  bool mode_explicit = false;
+  // The mode word, when the statement named one (see Shell::RunFlock).
+  std::optional<std::string> mode;
   std::size_t limit = 10;
   unsigned threads = 1;
 };
@@ -189,7 +222,6 @@ Result<RunOptions> ParseRunOptions(std::string_view rest,
     if (word == "DIRECT" || word == "PLAN" || word == "DYNAMIC" ||
         word == "REDUCED") {
       out.mode = word;
-      out.mode_explicit = true;
       rest = next;
     } else if (word == "LIMIT") {
       auto [num, after] = SplitCommand(next);
@@ -225,21 +257,7 @@ Result<std::string> Shell::Execute(std::string_view statement) {
     std::string dir(StripWhitespace(rest));
     Result<Database> loaded = LoadDatabase(dir, &vfs());
     if (!loaded.ok()) return loaded.status();
-    std::string out;
-    std::vector<Relation> rels;
-    for (const std::string& name : loaded->Names()) {
-      Relation rel = loaded->Get(name);
-      out += "loaded " + name + ": " + std::to_string(rel.size()) +
-             " rows\n";
-      rels.push_back(std::move(rel));
-    }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) {
-      return s;
-    }
-    views_dirty_ = true;
-    return out;
+    return PersistAndReport(RelationsOf(*loaded), "loaded");
   }
   if (command == "SAVEDB") {
     std::string dir(StripWhitespace(rest));
@@ -307,63 +325,33 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                              : "optimizer static mode\n");
     }
     if (what == "DYNAMIC") {
-      // §4.4 knobs, persisted like every knob. Knob values are int64, so
-      // the doubles travel milli-scaled (2.5 -> 2500).
       auto [val_text, tail] = SplitCommand(after);
       Result<double> v = ParseDouble(val_text);
-      static constexpr std::string_view kUsage =
-          "usage: SET DYNAMIC AGGRESSIVENESS|IMPROVEMENT|MINREMOVED <v>";
-      if (!v.ok() || !StripWhitespace(tail).empty()) {
-        return InvalidArgumentError(std::string(kUsage));
+      const DynamicKnobSpec* spec = nullptr;
+      for (const DynamicKnobSpec& k : kDynamicKnobs) {
+        if (k.word == num) spec = &k;
       }
-      double value = *v;
-      if (num == "AGGRESSIVENESS") {
-        if (value < 0) {
-          return InvalidArgumentError("AGGRESSIVENESS must be >= 0");
-        }
-        if (Status s = PersistKnob("DYN_AGGRESSIVENESS_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.aggressiveness = value;
-      } else if (num == "IMPROVEMENT") {
-        if (value < 0 || value > 1) {
-          return InvalidArgumentError("IMPROVEMENT must be in [0, 1]");
-        }
-        if (Status s = PersistKnob("DYN_IMPROVEMENT_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.improvement_factor = value;
-      } else if (num == "MINREMOVED") {
-        if (value < 0 || value > 1) {
-          return InvalidArgumentError("MINREMOVED must be in [0, 1]");
-        }
-        if (Status s = PersistKnob("DYN_MIN_REMOVED_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.min_removed_fraction = value;
-      } else {
-        return InvalidArgumentError(std::string(kUsage));
+      if (spec == nullptr || !v.ok() || !StripWhitespace(tail).empty()) {
+        return InvalidArgumentError(
+            "usage: SET DYNAMIC AGGRESSIVENESS|IMPROVEMENT|MINREMOVED <v>");
       }
-      char buf[112];
-      std::snprintf(buf, sizeof(buf),
-                    "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
-                    "min_removed=%.3f\n",
-                    dynamic_knobs_.aggressiveness,
-                    dynamic_knobs_.improvement_factor,
-                    dynamic_knobs_.min_removed_fraction);
-      return std::string(buf);
+      if (*v < 0 || (spec->unit_interval && *v > 1)) {
+        return InvalidArgumentError(num + (spec->unit_interval
+                                               ? " must be in [0, 1]"
+                                               : " must be >= 0"));
+      }
+      if (Status s = PersistKnob(std::string(spec->key),
+                                 std::llround(*v * 1000));
+          !s.ok()) {
+        return s;
+      }
+      dynamic_knobs_.*(spec->field) = *v;
+      return DescribeDynamicKnobs(dynamic_knobs_);
     }
     Result<std::int64_t> n = ParseInt64(num);
+    const bool bad = !n.ok() || *n < 0 || !StripWhitespace(after).empty();
     if (what == "TIMEOUT") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET TIMEOUT <ms> (0 = off)");
-      }
+      if (bad) return InvalidArgumentError("usage: SET TIMEOUT <ms> (0 = off)");
       if (Status s = PersistKnob("TIMEOUT_MS", *n); !s.ok()) return s;
       timeout_ms_ = *n;
       return timeout_ms_ == 0
@@ -371,9 +359,7 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                  : "timeout set to " + std::to_string(timeout_ms_) + " ms\n";
     }
     if (what == "MEMORY") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET MEMORY <mb> (0 = off)");
-      }
+      if (bad) return InvalidArgumentError("usage: SET MEMORY <mb> (0 = off)");
       if (Status s = PersistKnob("MEMORY_MB", *n); !s.ok()) return s;
       memory_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
       return memory_bytes_ == 0
@@ -381,9 +367,7 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                  : "memory budget set to " + std::to_string(*n) + " MB\n";
     }
     if (what == "BUFFER") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET BUFFER <mb>");
-      }
+      if (bad) return InvalidArgumentError("usage: SET BUFFER <mb>");
       if (Status s = PersistKnob("BUFFER_MB", *n); !s.ok()) return s;
       buffer_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
       if (buffer_pool_ != nullptr) {
@@ -401,14 +385,22 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                               " (try HELP)");
 }
 
-Result<std::string> Shell::ExecuteScript(std::string_view script) {
-  std::string output;
-  for (const std::string& statement : SplitStatements(script)) {
-    Result<std::string> result = Execute(statement);
-    if (!result.ok()) return result.status();
-    output += *result;
+StatementOutcome Shell::ExecuteScript(std::string_view script) {
+  std::vector<std::size_t> lines;
+  std::vector<std::string> statements = SplitStatements(script, &lines);
+  StatementOutcome outcome;
+  for (std::size_t i = 0; i < statements.size(); ++i) {
+    Result<std::string> result = Execute(statements[i]);
+    if (!result.ok()) {
+      outcome.status = Status(
+          result.status().code(),
+          "statement " + std::to_string(i + 1) + " (line " +
+              std::to_string(lines[i]) + "): " + result.status().message());
+      return outcome;
+    }
+    outcome.output += *result;
   }
-  return output;
+  return outcome;
 }
 
 void Shell::SeedDatabase(const Database& base) {
@@ -454,11 +446,9 @@ Result<std::string> Shell::Load(std::string_view args) {
     std::size_t added = appended->size() - old->size();
     std::size_t total = appended->size();
     std::uint64_t epoch = appended->epoch();
-    QueryContext ctx;
-    ConfigureContext(ctx);
     std::vector<Relation> rels;
     rels.push_back(std::move(*appended));
-    if (Status s = PersistRelations(std::move(rels), &ctx, /*append=*/true);
+    if (Status s = PersistRelations(std::move(rels), /*append=*/true);
         !s.ok()) {
       return s;
     }
@@ -468,21 +458,15 @@ Result<std::string> Shell::Load(std::string_view args) {
     // stability holds).
     incremental_.RecordAppend(rel_name, std::move(old),
                               db().GetShared(rel_name));
-    views_dirty_ = true;
     return "appended " + rel_name + ": +" + std::to_string(added) +
            " rows (" + std::to_string(total) + " total, epoch " +
            std::to_string(epoch) + ")\n";
   }
   Result<Relation> rel = LoadTsv(std::string(path), rel_name, &vfs());
   if (!rel.ok()) return rel.status();
-  std::size_t rows = rel->size();
-  QueryContext ctx;
-  ConfigureContext(ctx);
   std::vector<Relation> rels;
   rels.push_back(std::move(*rel));
-  if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-  views_dirty_ = true;
-  return "loaded " + rel_name + ": " + std::to_string(rows) + " rows\n";
+  return PersistAndReport(std::move(rels), "loaded");
 }
 
 Result<std::string> Shell::Save(std::string_view args) {
@@ -565,16 +549,10 @@ Result<std::string> Shell::Gen(std::string_view args) {
     TakeKey(kv, "topics", config.n_topics);
     TakeKey(kv, "seed", config.seed);
     if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Relation rel = GenerateBaskets(config);
-    rel.set_name(rel_name);
-    std::size_t rows = rel.size();
     std::vector<Relation> rels;
-    rels.push_back(std::move(rel));
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return "generated " + rel_name + ": " + std::to_string(rows) + " rows\n";
+    rels.push_back(GenerateBaskets(config));
+    rels.back().set_name(rel_name);
+    return PersistAndReport(std::move(rels), "generated");
   }
 
   if (kind == "GRAPH") {
@@ -584,16 +562,10 @@ Result<std::string> Shell::Gen(std::string_view args) {
     TakeKey(kv, "theta", config.target_theta);
     TakeKey(kv, "seed", config.seed);
     if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Relation rel = GenerateGraph(config);
-    rel.set_name(rel_name);
-    std::size_t rows = rel.size();
     std::vector<Relation> rels;
-    rels.push_back(std::move(rel));
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return "generated " + rel_name + ": " + std::to_string(rows) + " rows\n";
+    rels.push_back(GenerateGraph(config));
+    rels.back().set_name(rel_name);
+    return PersistAndReport(std::move(rels), "generated");
   }
 
   // MEDICAL and WEB generate several relations; <name> is ignored beyond
@@ -612,20 +584,8 @@ Result<std::string> Shell::Gen(std::string_view args) {
     TakeKey(kv, "locality", config.disease_locality);
     TakeKey(kv, "seed", config.seed);
     if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Database generated = GenerateMedical(config);
-    std::string out;
-    std::vector<Relation> rels;
-    for (const std::string& name : generated.Names()) {
-      Relation rel = generated.Get(name);
-      out += "generated " + name + ": " + std::to_string(rel.size()) +
-             " rows\n";
-      rels.push_back(std::move(rel));
-    }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return out;
+    return PersistAndReport(RelationsOf(GenerateMedical(config)),
+                            "generated");
   }
 
   if (kind == "WEB") {
@@ -638,20 +598,7 @@ Result<std::string> Shell::Gen(std::string_view args) {
     TakeKey(kv, "topics", config.n_topics);
     TakeKey(kv, "seed", config.seed);
     if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Database generated = GenerateWeb(config);
-    std::string out;
-    std::vector<Relation> rels;
-    for (const std::string& name : generated.Names()) {
-      Relation rel = generated.Get(name);
-      out += "generated " + name + ": " + std::to_string(rel.size()) +
-             " rows\n";
-      rels.push_back(std::move(rel));
-    }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return out;
+    return PersistAndReport(RelationsOf(GenerateWeb(config)), "generated");
   }
 
   return InvalidArgumentError(
@@ -777,208 +724,116 @@ Result<std::string> Shell::Explain(std::string_view args) {
          buf;
 }
 
-Result<Relation> Shell::Evaluate(const std::string& mode,
-                                 const QueryFlock& flock, unsigned threads,
-                                 OpMetrics* metrics,
-                                 std::string* dynamic_trace,
-                                 QueryContext* ctx) {
-  if (Status s = flock.Validate(); !s.ok()) return s;
+Result<Shell::FlockRun> Shell::RunFlock(const std::string& name,
+                                        const QueryFlock& flock,
+                                        const std::optional<std::string>& mode,
+                                        unsigned threads, OpMetrics* metrics,
+                                        bool render_dynamic) {
   Result<const std::map<std::string, Relation>*> views = Views();
   if (!views.ok()) return views.status();
+  FlockRun run;
+  if (incremental_on_) {
+    // Try the cached/incremental path first; it either serves a result
+    // bit-identical to the ordinary evaluation (any mode, any thread
+    // count — the engine contract) or declines and the statement falls
+    // through to the arm below. The attempt gets its own governor: a
+    // latched budget/deadline error must not poison the fallback's
+    // accounting. A declined attempt leaves its "incremental" metrics
+    // child in place and the fallback's operator tree goes next to it.
+    QueryContext ictx;
+    ConfigureContext(ictx);
+    IncrementalEvalOptions iopts{.threads = threads,
+                                 .metrics = metrics,
+                                 .trace = trace_sink_.get(),
+                                 .ctx = &ictx,
+                                 .state_budget = memory_bytes_};
+    Relation served;
+    IncrementalRunInfo rinfo;
+    if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
+                                    &served, &rinfo);
+        !s.ok()) {
+      return s;
+    }
+    if (rinfo.served) {
+      run.result = std::move(served);
+      run.mode = "INCREMENTAL:" + rinfo.decision;
+      run.peak_bytes = ictx.peak_bytes();
+      return run;
+    }
+  }
+
+  if (Status s = flock.Validate(); !s.ok()) return s;
   std::map<std::string, const Relation*> extra;
   for (const auto& [view_name, rel] : **views) extra[view_name] = &rel;
-  TraceSink* trace = trace_sink_.get();
+  QueryContext ctx;
+  ConfigureContext(ctx);
 
-  // Estimated surviving assignments of a FILTER over `query`, for the
-  // est-vs-actual skew EXPLAIN ANALYZE renders. Only support-style
-  // filters have a calibrated model.
-  auto estimate_survivors = [&](const UnionQuery& query,
-                                const CostModel& model) {
-    double est = 0;
-    for (const ConjunctiveQuery& cq : query.disjuncts) {
-      est += model.EstimateFilter(cq, flock.filter.threshold).survivors;
-    }
-    return est;
-  };
-  if (mode == "DIRECT" || mode == "REDUCED") {
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.metrics = metrics;
-    options.trace = trace;
-    options.ctx = ctx;
-    if (mode == "REDUCED") {
-      // Yannakakis full-reducer evaluation (falls back on cyclic queries).
-      for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
-        CqEvalOptions cq_options;
-        cq_options.full_reducer = true;
-        options.per_disjunct.push_back(std::move(cq_options));
-      }
-    }
-    if (metrics != nullptr && flock.filter.IsSupportStyle()) {
+  // Choose the arm. An explicit mode word always wins over the bandit —
+  // "RUN f DYNAMIC" means DYNAMIC; without one the learned optimizer
+  // picks the strategy (and reports it as the mode), or PLAN runs.
+  BanditArm arm;
+  if (mode.has_value() || !learned_optimizer_) {
+    Result<BanditArm> fixed = ArmForMode(mode.value_or("PLAN"), dynamic_knobs_);
+    if (!fixed.ok()) return fixed.status();
+    arm = std::move(*fixed);
+    run.mode = arm.id;
+  } else {
+    Result<const CostModel*> model = Model();
+    if (!model.ok()) return model.status();
+    PlanContext pctx = MakePlanContext(flock, **model);
+    // The DynamicEvaluate preconditions (single disjunct, support filter,
+    // no view predicates); only then do the §4.4 arms enter the pool.
+    const bool dynamic_eligible = extra.empty() &&
+                                  flock.query.disjuncts.size() == 1 &&
+                                  flock.filter.IsSupportStyle();
+    std::vector<BanditArm> arms =
+        EnumerateArms(flock, **model, dynamic_eligible, dynamic_knobs_);
+    BanditChoice choice =
+        PlanBandit(optimizer_history()).Choose(pctx.key, arms);
+    arm = std::move(arms[choice.index]);
+    run.mode = "LEARNED:" + choice.arm_id;
+    run.learned = LearnedRunInfo{choice.arm_id, pctx.key,
+                                 std::move(pctx.description), choice.exploring,
+                                 std::move(choice.posterior)};
+  }
+
+  DynamicLog log;
+  ArmExecOptions options{.threads = threads,
+                         .metrics = metrics,
+                         .trace = trace_sink_.get(),
+                         .ctx = &ctx,
+                         .extra_predicates = &extra,
+                         .dynamic_log = render_dynamic ? &log : nullptr};
+  auto start = std::chrono::steady_clock::now();
+  Result<Relation> result = ExecuteArm(
+      arm, flock, db(), [this] { return Model(); }, options);
+  double wall_ms = MillisSince(start);
+  if (!result.ok()) return result.status();
+  run.peak_bytes = ctx.peak_bytes();
+  if (render_dynamic && arm.kind == BanditArm::Kind::kDynamic) {
+    run.dynamic_trace = RenderDynamicTrace(log);
+  }
+
+  if (run.learned.has_value()) {
+    BanditOutcome outcome{.context = run.learned->context,
+                          .arm = run.learned->arm_id,
+                          .wall_ms = wall_ms,
+                          .rows = static_cast<double>(result->size())};
+    if (flock.filter.IsSupportStyle()) {
+      // Est-vs-actual skew: how far the static model's survivor estimate
+      // was from the observed answer count (1.0 = exact, symmetric in
+      // direction; only support filters have a calibrated model).
       Result<const CostModel*> model = Model();
       if (!model.ok()) return model.status();
-      metrics->est_rows = estimate_survivors(flock.query, **model);
+      double est =
+          (*model)->EstimateSurvivors(flock.query, flock.filter.threshold);
+      outcome.skew = std::max(1.0, std::max(est, outcome.rows)) /
+                     std::max(1.0, std::min(est, outcome.rows));
     }
-    return EvaluateFlock(flock, db(), options, &extra);
+    if (Status s = RecordOutcome(outcome); !s.ok()) return s;
   }
-
-  if (mode == "DYNAMIC") {
-    if (!extra.empty()) {
-      return UnimplementedError(
-          "RUN ... DYNAMIC does not support intermediate predicates yet; "
-          "use DIRECT or PLAN");
-    }
-    DynamicOptions options;
-    options.aggressiveness = dynamic_knobs_.aggressiveness;
-    options.improvement_factor = dynamic_knobs_.improvement_factor;
-    options.min_removed_fraction = dynamic_knobs_.min_removed_fraction;
-    options.threads = threads;
-    options.metrics = metrics;
-    options.trace = trace;
-    options.ctx = ctx;
-    DynamicLog log;
-    Result<Relation> result = DynamicEvaluate(flock, db(), options, &log);
-    if (result.ok() && dynamic_trace != nullptr) {
-      *dynamic_trace = RenderDynamicTrace(log);
-    }
-    return result;
-  }
-
-  Result<const CostModel*> model_or = Model();
-  if (!model_or.ok()) return model_or.status();
-  const CostModel& model = **model_or;
-  Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
-  if (!plan.ok()) return plan.status();
-  PlanExecOptions options;
-  options.order_chooser = CostBasedOrderChooser();
-  options.extra_predicates = &extra;
-  options.threads = threads;
-  options.metrics = metrics;
-  options.trace = trace;
-  options.ctx = ctx;
-  Result<Relation> result = ExecutePlan(*plan, flock, db(), options);
-  if (result.ok() && metrics != nullptr && flock.filter.IsSupportStyle()) {
-    // The executor pre-allocates step children in plan order, so child k
-    // is step k; attach the optimizer's per-step estimate to each.
-    for (std::size_t k = 0;
-         k < plan->steps.size() && k < metrics->children.size(); ++k) {
-      metrics->children[k]->est_rows =
-          estimate_survivors(plan->steps[k].query, model);
-    }
-    if (!plan->steps.empty()) {
-      metrics->est_rows = metrics->children[plan->steps.size() - 1]->est_rows;
-    }
-  }
-  return result;
-}
-
-Result<Relation> Shell::EvaluateLearned(const QueryFlock& flock,
-                                        unsigned threads, OpMetrics* metrics,
-                                        std::string* dynamic_trace,
-                                        QueryContext* ctx,
-                                        LearnedRunInfo* info) {
-  if (Status s = flock.Validate(); !s.ok()) return s;
-  Result<const CostModel*> model_or = Model();
-  if (!model_or.ok()) return model_or.status();
-  const CostModel& model = **model_or;
-  Result<const std::map<std::string, Relation>*> views = Views();
-  if (!views.ok()) return views.status();
-  std::map<std::string, const Relation*> extra;
-  for (const auto& [view_name, rel] : **views) extra[view_name] = &rel;
-  TraceSink* trace = trace_sink_.get();
-
-  PlanContext pctx = MakePlanContext(flock, model);
-  // The DynamicEvaluate preconditions (single disjunct, support filter,
-  // no view predicates); only then do the §4.4 arms enter the pool.
-  const bool dynamic_eligible = extra.empty() &&
-                                flock.query.disjuncts.size() == 1 &&
-                                flock.filter.IsSupportStyle();
-  std::vector<BanditArm> arms =
-      EnumerateArms(flock, model, dynamic_eligible, dynamic_knobs_);
-  BanditChoice choice = PlanBandit(optimizer_history()).Choose(pctx.key, arms);
-  const BanditArm& arm = arms[choice.index];
-  if (info != nullptr) {
-    info->arm_id = choice.arm_id;
-    info->context = pctx.key;
-    info->context_desc = pctx.description;
-    info->exploring = choice.exploring;
-    info->posterior = choice.posterior;
-  }
-
-  auto start = std::chrono::steady_clock::now();
-  Result<Relation> result = Relation();
-  switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
-      Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
-      if (!plan.ok()) return plan.status();
-      PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
-      options.extra_predicates = &extra;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      result = ExecutePlan(*plan, flock, db(), options);
-      break;
-    }
-    case BanditArm::Kind::kDirect: {
-      FlockEvalOptions options;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      for (const std::vector<std::size_t>& order : arm.orders) {
-        CqEvalOptions cq_options;
-        cq_options.join_order = order;
-        options.per_disjunct.push_back(std::move(cq_options));
-      }
-      result = EvaluateFlock(flock, db(), options, &extra);
-      break;
-    }
-    case BanditArm::Kind::kDynamic: {
-      DynamicOptions options;
-      if (!arm.orders.empty()) options.join_order = arm.orders.front();
-      options.aggressiveness = arm.knobs.aggressiveness;
-      options.improvement_factor = arm.knobs.improvement_factor;
-      options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      DynamicLog log;
-      result = DynamicEvaluate(flock, db(), options, &log);
-      if (result.ok() && dynamic_trace != nullptr) {
-        *dynamic_trace = RenderDynamicTrace(log);
-      }
-      break;
-    }
-  }
-  double wall_ms = MillisSince(start);
-  if (!result.ok()) return result;
-
-  // Est-vs-actual skew for the outcome record: how far the static model's
-  // survivor estimate was from the observed answer count (1.0 = exact,
-  // symmetric in direction; only support filters have a calibrated model).
-  double actual = static_cast<double>(result->size());
-  double skew = 1.0;
-  if (flock.filter.IsSupportStyle()) {
-    double est = 0;
-    for (const ConjunctiveQuery& cq : flock.query.disjuncts) {
-      est += model.EstimateFilter(cq, flock.filter.threshold).survivors;
-    }
-    if (metrics != nullptr) metrics->est_rows = est;
-    double lo = std::max(1.0, std::min(est, actual));
-    double hi = std::max(1.0, std::max(est, actual));
-    skew = hi / lo;
-  }
-  BanditOutcome outcome;
-  outcome.context = pctx.key;
-  outcome.arm = choice.arm_id;
-  outcome.wall_ms = wall_ms;
-  outcome.rows = actual;
-  outcome.skew = skew;
-  if (Status s = RecordOutcome(outcome); !s.ok()) return s;
-  return result;
+  run.result = std::move(*result);
+  return run;
 }
 
 Status Shell::RecordOutcome(const BanditOutcome& outcome) {
@@ -1011,7 +866,6 @@ Result<std::string> Shell::Run(std::string_view args) {
   std::string name(StripWhitespace(args).substr(0, name_upper.size()));
   auto it = flocks_.find(name);
   if (it == flocks_.end()) return NotFoundError("no flock named " + name);
-  const QueryFlock& flock = it->second;
 
   Result<RunOptions> opts = ParseRunOptions(rest, default_threads_);
   if (!opts.ok()) return opts.status();
@@ -1020,63 +874,16 @@ Result<std::string> Shell::Run(std::string_view args) {
   // itself is discarded after the run.
   OpMetrics root;
   OpMetrics* metrics = tracing() ? &root : nullptr;
-
   auto start = std::chrono::steady_clock::now();
-  if (incremental_on_) {
-    // Try the cached/incremental path first; it either serves a result
-    // bit-identical to the ordinary evaluation (any mode, any thread
-    // count — the engine contract) or declines and the statement falls
-    // through to the requested mode below. The attempt gets its own
-    // governor: a latched budget/deadline error must not poison the
-    // fallback's accounting.
-    Result<const std::map<std::string, Relation>*> views = Views();
-    if (!views.ok()) return views.status();
-    QueryContext ictx;
-    ConfigureContext(ictx);
-    IncrementalEvalOptions iopts;
-    iopts.threads = opts->threads;
-    iopts.metrics = metrics;
-    iopts.trace = trace_sink_.get();
-    iopts.ctx = &ictx;
-    iopts.state_budget = memory_bytes_;
-    Relation served;
-    IncrementalRunInfo rinfo;
-    if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
-                                    &served, &rinfo);
-        !s.ok()) {
-      return s;
-    }
-    if (rinfo.served) {
-      double ms = MillisSince(start);
-      std::string mode = "INCREMENTAL:" + rinfo.decision;
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "%s: %zu assignments in %.1f ms (%s)\n",
-                    name.c_str(), served.size(), ms, mode.c_str());
-      return buf + PreviewRelation(std::move(served), opts->limit);
-    }
-  }
-
-  QueryContext ctx;
-  ConfigureContext(ctx);
-  Result<Relation> result = Relation();
-  std::string mode_name = opts->mode;
-  if (learned_optimizer_ && !opts->mode_explicit) {
-    // An explicit mode word always wins over the bandit; without one the
-    // learned optimizer picks the strategy and reports it as the mode.
-    LearnedRunInfo linfo;
-    result = EvaluateLearned(flock, opts->threads, metrics, nullptr, &ctx,
-                             &linfo);
-    mode_name = "LEARNED:" + linfo.arm_id;
-  } else {
-    result = Evaluate(opts->mode, flock, opts->threads, metrics, nullptr, &ctx);
-  }
+  Result<FlockRun> run = RunFlock(name, it->second, opts->mode, opts->threads,
+                                  metrics, /*render_dynamic=*/false);
   double ms = MillisSince(start);
-  if (!result.ok()) return result.status();
+  if (!run.ok()) return run.status();
 
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s: %zu assignments in %.1f ms (%s)\n",
-                name.c_str(), result->size(), ms, mode_name.c_str());
-  return buf + PreviewRelation(std::move(*result), opts->limit);
+                name.c_str(), run->result.size(), ms, run->mode.c_str());
+  return buf + PreviewRelation(std::move(run->result), opts->limit);
 }
 
 Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
@@ -1089,78 +896,30 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
   }
   auto it = flocks_.find(name);
   if (it == flocks_.end()) return NotFoundError("no flock named " + name);
-  const QueryFlock& flock = it->second;
 
   Result<RunOptions> opts = ParseRunOptions(rest, default_threads_);
   if (!opts.ok()) return opts.status();
 
   OpMetrics root;
-  std::string dynamic_trace;
-  // Separate governors for the incremental attempt and the fallback: a
-  // tripped attempt must not poison the fallback's accounting. `used`
-  // points at whichever governed the statement that actually ran.
-  QueryContext ictx;
-  ConfigureContext(ictx);
-  QueryContext ctx;
-  ConfigureContext(ctx);
-  QueryContext* used = &ctx;
-  std::string mode_name = opts->mode;
   auto start = std::chrono::steady_clock::now();
-  Result<Relation> result = Relation();
-  bool served = false;
-  if (incremental_on_) {
-    Result<const std::map<std::string, Relation>*> views = Views();
-    if (!views.ok()) return views.status();
-    IncrementalEvalOptions iopts;
-    iopts.threads = opts->threads;
-    iopts.metrics = &root;
-    iopts.trace = trace_sink_.get();
-    iopts.ctx = &ictx;
-    iopts.state_budget = memory_bytes_;
-    Relation inc_result;
-    IncrementalRunInfo rinfo;
-    if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
-                                    &inc_result, &rinfo);
-        !s.ok()) {
-      return s;
-    }
-    if (rinfo.served) {
-      result = std::move(inc_result);
-      mode_name = "INCREMENTAL:" + rinfo.decision;
-      used = &ictx;
-      served = true;
-    }
-    // Declined: the "incremental" metrics child keeps the decision and
-    // the fallback's operator tree is appended next to it.
-  }
-  LearnedRunInfo linfo;
-  bool learned = false;
-  if (!served) {
-    if (learned_optimizer_ && !opts->mode_explicit) {
-      result = EvaluateLearned(flock, opts->threads, &root, &dynamic_trace,
-                               &ctx, &linfo);
-      mode_name = "LEARNED:" + linfo.arm_id;
-      learned = true;
-    } else {
-      result = Evaluate(opts->mode, flock, opts->threads, &root,
-                        &dynamic_trace, &ctx);
-    }
-  }
+  Result<FlockRun> run = RunFlock(name, it->second, opts->mode, opts->threads,
+                                  &root, /*render_dynamic=*/true);
   double ms = MillisSince(start);
-  if (!result.ok()) return result.status();
+  if (!run.ok()) return run.status();
   // The evaluators time their children; the root's span is the statement.
   root.wall_ns = static_cast<std::uint64_t>(ms * 1e6);
 
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "%s: %zu assignments in %.1f ms (%s, threads %u)\n",
-                name.c_str(), result->size(), ms, mode_name.c_str(),
+                name.c_str(), run->result.size(), ms, run->mode.c_str(),
                 opts->threads);
   std::string out = buf;
-  if (learned) {
+  if (run->learned.has_value()) {
     // The bandit's decision: which context cell the flock hashed to, the
     // chosen arm (and whether it was exploration or exploitation), then
     // the per-arm posterior the choice was made from.
+    const LearnedRunInfo& linfo = *run->learned;
     std::snprintf(buf, sizeof(buf), "optimizer: context %016llx (%s)\n",
                   static_cast<unsigned long long>(linfo.context),
                   linfo.context_desc.c_str());
@@ -1171,11 +930,11 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
     out += buf;
     out += linfo.posterior;
   }
-  if (!dynamic_trace.empty()) {
-    out += "dynamic decisions:\n" + dynamic_trace;
+  if (!run->dynamic_trace.empty()) {
+    out += "dynamic decisions:\n" + run->dynamic_trace;
   }
   std::snprintf(buf, sizeof(buf), "governor: peak %llu bytes accounted\n",
-                static_cast<unsigned long long>(used->peak_bytes()));
+                static_cast<unsigned long long>(run->peak_bytes));
   out += buf;
   out += "metrics:\n" + root.ToString();
   if (catalog_ != nullptr) {
@@ -1218,7 +977,7 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
     }
     out += "storage:\n" + storage.ToString();
   }
-  out += "result:\n" + PreviewRelation(std::move(*result), opts->limit);
+  out += "result:\n" + PreviewRelation(std::move(run->result), opts->limit);
   return out;
 }
 
@@ -1371,17 +1130,10 @@ Result<std::string> Shell::Show(std::string_view args) {
     if (StripWhitespace(rest) != "STATE") {
       return InvalidArgumentError("usage: SHOW OPTIMIZER STATE");
     }
-    char buf[160];
     std::string out = learned_optimizer_
                           ? "optimizer: learned (bandit picks RUN plans)\n"
                           : "optimizer: static\n";
-    std::snprintf(buf, sizeof(buf),
-                  "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
-                  "min_removed=%.3f\n",
-                  dynamic_knobs_.aggressiveness,
-                  dynamic_knobs_.improvement_factor,
-                  dynamic_knobs_.min_removed_fraction);
-    out += buf;
+    out += DescribeDynamicKnobs(dynamic_knobs_);
     out += optimizer_history().Describe();
     return out;
   }
@@ -1414,8 +1166,9 @@ Result<std::string> Shell::Show(std::string_view args) {
   return NotFoundError("no relation named " + rel_name);
 }
 
-Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
-                               bool append) {
+Status Shell::PersistRelations(std::vector<Relation> rels, bool append) {
+  QueryContext ctx;
+  ConfigureContext(ctx);
   std::vector<std::string> names;
   names.reserve(rels.size());
   for (const Relation& rel : rels) names.push_back(rel.name());
@@ -1425,7 +1178,7 @@ Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
     for (const Relation& rel : rels) ptrs.push_back(&rel);
     // One WAL commit for the whole batch: after a crash either all of
     // these relations are recovered or none, never a subset.
-    if (Status s = catalog_->PutRelations(ptrs, ctx); !s.ok()) return s;
+    if (Status s = catalog_->PutRelations(ptrs, &ctx); !s.ok()) return s;
   } else {
     for (Relation& rel : rels) db_.PutRelation(std::move(rel));
   }
@@ -1434,7 +1187,19 @@ Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
     // states over them must rebuild, not walk a broken chain.
     for (const std::string& name : names) incremental_.RecordReplace(name);
   }
+  views_dirty_ = true;
   return Status::Ok();
+}
+
+Result<std::string> Shell::PersistAndReport(std::vector<Relation> rels,
+                                            std::string_view verb) {
+  std::string out;
+  for (const Relation& rel : rels) {
+    out += std::string(verb) + " " + rel.name() + ": " +
+           std::to_string(rel.size()) + " rows\n";
+  }
+  if (Status s = PersistRelations(std::move(rels)); !s.ok()) return s;
+  return out;
 }
 
 Status Shell::PersistKnob(const std::string& key, std::int64_t value) {
@@ -1499,43 +1264,30 @@ Result<std::string> Shell::Open(std::string_view args) {
   // dropped wholesale and rebuilt lazily by the next RUN. (The knob below
   // restores whether the incremental path is on, not its state.)
   incremental_.Reset();
+  // Session knobs the catalog holds (each only when in its valid range).
   const auto& knobs = catalog_->state().knobs;
-  if (auto it = knobs.find("THREADS"); it != knobs.end() && it->second >= 1) {
-    default_threads_ = static_cast<unsigned>(it->second);
+  auto knob = [&](const std::string& key,
+                  std::int64_t min) -> std::optional<std::int64_t> {
+    auto it = knobs.find(key);
+    if (it == knobs.end() || it->second < min) return std::nullopt;
+    return it->second;
+  };
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::min();
+  if (auto v = knob("THREADS", 1)) default_threads_ = static_cast<unsigned>(*v);
+  if (auto v = knob("TIMEOUT_MS", 0)) timeout_ms_ = *v;
+  if (auto v = knob("MEMORY_MB", 0)) {
+    memory_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
   }
-  if (auto it = knobs.find("TIMEOUT_MS");
-      it != knobs.end() && it->second >= 0) {
-    timeout_ms_ = it->second;
-  }
-  if (auto it = knobs.find("MEMORY_MB");
-      it != knobs.end() && it->second >= 0) {
-    memory_bytes_ = static_cast<std::uint64_t>(it->second) * 1024 * 1024;
-  }
-  if (auto it = knobs.find("BUFFER_MB");
-      it != knobs.end() && it->second >= 0) {
-    buffer_bytes_ = static_cast<std::uint64_t>(it->second) * 1024 * 1024;
+  if (auto v = knob("BUFFER_MB", 0)) {
+    buffer_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
     buffer_pool_->set_capacity_bytes(buffer_bytes_);
   }
-  if (auto it = knobs.find("INCREMENTAL"); it != knobs.end()) {
-    incremental_on_ = it->second != 0;
-  }
-  if (auto it = knobs.find("OPTIMIZER_LEARNED"); it != knobs.end()) {
-    learned_optimizer_ = it->second != 0;
-  }
-  // §4.4 knobs travel as milli-scaled integers (the knob map is int64).
-  if (auto it = knobs.find("DYN_AGGRESSIVENESS_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.aggressiveness = static_cast<double>(it->second) / 1000.0;
-  }
-  if (auto it = knobs.find("DYN_IMPROVEMENT_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.improvement_factor =
-        static_cast<double>(it->second) / 1000.0;
-  }
-  if (auto it = knobs.find("DYN_MIN_REMOVED_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.min_removed_fraction =
-        static_cast<double>(it->second) / 1000.0;
+  if (auto v = knob("INCREMENTAL", kAny)) incremental_on_ = *v != 0;
+  if (auto v = knob("OPTIMIZER_LEARNED", kAny)) learned_optimizer_ = *v != 0;
+  for (const DynamicKnobSpec& spec : kDynamicKnobs) {
+    if (auto v = knob(std::string(spec.key), 0)) {
+      dynamic_knobs_.*(spec.field) = static_cast<double>(*v) / 1000.0;
+    }
   }
   // The catalog's database replaced the in-memory one; its generation
   // counter is unrelated to whatever the cached model was keyed on.

@@ -70,6 +70,17 @@
 
 namespace qf {
 
+// The outcome of a statement or a script: the typed status plus the
+// printable output. Non-Result form so wire protocols and REPLs can
+// marshal both sides without branching on Result<>, and so a failed
+// script keeps the output of the statements before the failure.
+struct StatementOutcome {
+  Status status;
+  std::string output;
+
+  bool ok() const { return status.ok(); }
+};
+
 class Shell {
  public:
   Shell() = default;
@@ -81,8 +92,11 @@ class Shell {
 
   // Splits `script` into statements on ';' (quote-aware, via
   // SplitStatements in shell/statement.h) and executes them in order,
-  // concatenating output. Stops at the first error.
-  Result<std::string> ExecuteScript(std::string_view script);
+  // concatenating output. Stops at the first error: the outcome keeps the
+  // output of the statements that succeeded, and its status carries the
+  // failing statement's code with "statement <i> (line <n>): " prefixed
+  // to the message.
+  StatementOutcome ExecuteScript(std::string_view script);
 
   // Seeds the session's in-memory database from `base` without copying
   // relation payloads (Database shares relations copy-on-write). The
@@ -174,14 +188,6 @@ class Shell {
   Result<std::string> Maximal(std::string_view args);
   Result<std::string> Trace(std::string_view args);
 
-  // Evaluates flock `name` in `mode` ("DIRECT"|"PLAN"|"REDUCED"|"DYNAMIC"),
-  // optionally collecting metrics under `metrics` (spans go to the
-  // installed trace sink). `dynamic_trace`, when non-null, receives the
-  // Fig. 9-style decision log of DYNAMIC runs.
-  Result<Relation> Evaluate(const std::string& mode, const QueryFlock& flock,
-                            unsigned threads, OpMetrics* metrics,
-                            std::string* dynamic_trace, QueryContext* ctx);
-
   // What the bandit decided for one learned run (EXPLAIN ANALYZE renders
   // it; RUN shows the arm id in its mode string).
   struct LearnedRunInfo {
@@ -191,14 +197,26 @@ class Shell {
     bool exploring = false;
     std::string posterior;  // per-arm stats lines at decision time
   };
-  // SET OPTIMIZER LEARNED evaluation path: enumerate arms, let the bandit
-  // choose, execute the chosen strategy, then record the outcome (to the
-  // catalog's WAL when one is open). Results are bit-identical to
-  // Evaluate for every arm.
-  Result<Relation> EvaluateLearned(const QueryFlock& flock, unsigned threads,
-                                   OpMetrics* metrics,
-                                   std::string* dynamic_trace,
-                                   QueryContext* ctx, LearnedRunInfo* info);
+  // What one RUN / EXPLAIN ANALYZE evaluation produced; the two
+  // statements only render it.
+  struct FlockRun {
+    Relation result;
+    // "PLAN" | "DIRECT" | ... | "LEARNED:<arm>" | "INCREMENTAL:<decision>"
+    std::string mode;
+    std::uint64_t peak_bytes = 0;  // the governing context's peak
+    std::optional<LearnedRunInfo> learned;
+    std::string dynamic_trace;  // Fig. 9-style decision log, when rendered
+  };
+  // The one RUN dispatcher. In order: the incremental attempt (SET
+  // INCREMENTAL ON); then the arm — the fixed arm of the explicit `mode`
+  // word, else the bandit's choice under SET OPTIMIZER LEARNED, else PLAN;
+  // then ExecuteArm; then, for learned runs, the outcome record. `metrics`
+  // (optional) collects the operator tree; `render_dynamic` asks for the
+  // decision log of a DYNAMIC arm.
+  Result<FlockRun> RunFlock(const std::string& name, const QueryFlock& flock,
+                            const std::optional<std::string>& mode,
+                            unsigned threads, OpMetrics* metrics,
+                            bool render_dynamic);
   // Folds one learned-run outcome into the history: the catalog's durable
   // store when open (skipped while latched read-only), the session-local
   // store otherwise.
@@ -221,12 +239,15 @@ class Shell {
   }
   Vfs& vfs() const { return vfs_ != nullptr ? *vfs_ : DefaultVfs(); }
   // Stores relations, through the catalog's WAL (one commit, one fsync,
-  // all-or-nothing) when one is open. On failure nothing is applied.
-  // `append` marks the batch as LOAD ... APPEND lineage: replace severs
-  // each relation's incremental append chain, append leaves it to the
-  // caller to link old -> new handles.
-  Status PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
-                          bool append = false);
+  // all-or-nothing, governed by the session limits) when one is open, and
+  // marks the views stale. On failure nothing is applied. `append` marks
+  // the batch as LOAD ... APPEND lineage: replace severs each relation's
+  // incremental append chain, append leaves it to the caller to link
+  // old -> new handles.
+  Status PersistRelations(std::vector<Relation> rels, bool append = false);
+  // PersistRelations, then "<verb> <name>: <n> rows" per relation.
+  Result<std::string> PersistAndReport(std::vector<Relation> rels,
+                                       std::string_view verb);
   // Persists a session knob ("THREADS"...) when a catalog is open.
   Status PersistKnob(const std::string& key, std::int64_t value);
 

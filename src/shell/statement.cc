@@ -1,10 +1,13 @@
 #include "shell/statement.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace qf {
 
-std::vector<std::string> SplitStatements(std::string_view script) {
+std::vector<std::string> SplitStatements(std::string_view script,
+                                         std::vector<std::size_t>* lines) {
   // Strip comments (quote-aware), then split on ';' outside quotes.
   std::string cleaned;
   cleaned.reserve(script.size());
@@ -31,6 +34,10 @@ std::vector<std::string> SplitStatements(std::string_view script) {
   }
 
   std::vector<std::string> statements;
+  // Comment stripping keeps every newline, so lines of `cleaned` are
+  // lines of `script`.
+  std::size_t line = 1;
+  std::size_t counted = 0;  // newlines before this offset are in `line`
   std::size_t start = 0;
   bool in_quote = false;
   char quote = '\0';
@@ -51,6 +58,15 @@ std::vector<std::string> SplitStatements(std::string_view script) {
       start = i + 1;
       statement = StripWhitespace(statement);
       if (statement.empty()) continue;
+      if (lines != nullptr) {
+        std::size_t at =
+            static_cast<std::size_t>(statement.data() - cleaned.data());
+        line += static_cast<std::size_t>(std::count(
+            cleaned.begin() + static_cast<std::ptrdiff_t>(counted),
+            cleaned.begin() + static_cast<std::ptrdiff_t>(at), '\n'));
+        counted = at;
+        lines->push_back(line);
+      }
       statements.emplace_back(statement);
     }
   }

@@ -20,21 +20,14 @@ namespace qf {
 // (quote-aware), statements end at ';' outside quotes, and blank
 // statements are dropped. The trailing statement needs no ';'. Statements
 // keep their internal whitespace/newlines; surrounding whitespace is
-// trimmed.
-std::vector<std::string> SplitStatements(std::string_view script);
-
-// The outcome of one statement: the typed status plus the printable
-// output (empty on error). Non-Result form so wire protocols and REPLs
-// can marshal both sides without branching on Result<>.
-struct StatementOutcome {
-  Status status;
-  std::string output;
-
-  bool ok() const { return status.ok(); }
-};
+// trimmed. `lines`, when non-null, receives each statement's 1-based
+// starting line in `script`.
+std::vector<std::string> SplitStatements(
+    std::string_view script, std::vector<std::size_t>* lines = nullptr);
 
 // Executes one statement against `shell` (exactly Shell::Execute, in
-// outcome form). The shell object stays usable after errors.
+// outcome form; the output is empty on error). The shell object stays
+// usable after errors.
 StatementOutcome ExecuteStatement(Shell& shell, std::string_view statement);
 
 }  // namespace qf

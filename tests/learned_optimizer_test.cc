@@ -6,6 +6,7 @@
 // CHECKPOINT / OPEN (history replay).
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -15,11 +16,9 @@
 #include "flocks/flock.h"
 #include "optimizer/bandit.h"
 #include "optimizer/cost_model.h"
-#include "optimizer/dynamic.h"
 #include "optimizer/executor_support.h"
 #include "optimizer/history.h"
 #include "optimizer/join_order.h"
-#include "optimizer/plan_search.h"
 #include "optimizer/stats.h"
 #include "relational/serialize.h"
 #include "shell/shell.h"
@@ -470,6 +469,38 @@ TEST(LearnedShellTest, ShowOptimizerStateReportsModeKnobsAndHistory) {
   EXPECT_FALSE(shell.Execute("SET DYNAMIC BOGUS 1").ok());
 }
 
+// The "metrics:" tree of an EXPLAIN ANALYZE, timings masked.
+std::string MaskedMetricsTree(const std::string& explain) {
+  std::size_t begin = explain.find("metrics:\n");
+  std::size_t end = explain.find("result:\n");
+  EXPECT_NE(begin, std::string::npos) << explain;
+  EXPECT_NE(end, std::string::npos) << explain;
+  return std::regex_replace(explain.substr(begin, end - begin),
+                            std::regex("t=[0-9.]+ms"), "t=?");
+}
+
+// A learned run of the plan arm and an explicit PLAN run execute the same
+// plan through the same executor, so they annotate the same nodes with
+// the same estimates: the root with the flock's survivor estimate, each
+// step with its step's.
+TEST(LearnedShellTest, LearnedPlanArmAnnotatesLikeExplicitPlan) {
+  Shell shell;
+  SeedWorkload(shell);
+  MustRun(shell, "SET OPTIMIZER LEARNED");
+  // The first learned run explores the first enumerated arm.
+  std::string learned = MustRun(shell, "EXPLAIN ANALYZE f");
+  ASSERT_NE(learned.find("(LEARNED:plan:search, threads 1)"),
+            std::string::npos)
+      << learned;
+  std::string plan = MustRun(shell, "EXPLAIN ANALYZE f PLAN");
+  ASSERT_NE(plan.find("(PLAN, threads 1)"), std::string::npos) << plan;
+  std::string tree = MaskedMetricsTree(plan);
+  EXPECT_NE(tree.find("est="), std::string::npos) << tree;
+  std::regex step_with_est("\n  step [^\n]* est");
+  EXPECT_TRUE(std::regex_search(tree, step_with_est)) << tree;
+  EXPECT_EQ(MaskedMetricsTree(learned), tree);
+}
+
 TEST(LearnedShellTest, HistorySurvivesCheckpointAndReopen) {
   MemVfs vfs;
   std::string state_before;
@@ -503,42 +534,6 @@ TEST(LearnedShellTest, HistorySurvivesCheckpointAndReopen) {
 
 // ------------------------------- arm-by-arm differential (unit level)
 
-// Executes `arm` the way Shell::EvaluateLearned does, at `threads`.
-Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
-                            const Database& db, const CostModel& model,
-                            unsigned threads) {
-  switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
-      Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
-      if (!plan.ok()) return plan.status();
-      PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
-      options.threads = threads;
-      return ExecutePlan(*plan, flock, db, options);
-    }
-    case BanditArm::Kind::kDirect: {
-      FlockEvalOptions options;
-      options.threads = threads;
-      for (const std::vector<std::size_t>& order : arm.orders) {
-        CqEvalOptions cq_options;
-        cq_options.join_order = order;
-        options.per_disjunct.push_back(std::move(cq_options));
-      }
-      return EvaluateFlock(flock, db, options);
-    }
-    case BanditArm::Kind::kDynamic: {
-      DynamicOptions options;
-      if (!arm.orders.empty()) options.join_order = arm.orders.front();
-      options.aggressiveness = arm.knobs.aggressiveness;
-      options.improvement_factor = arm.knobs.improvement_factor;
-      options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      options.threads = threads;
-      return DynamicEvaluate(flock, db, options);
-    }
-  }
-  return Status::Ok();
-}
-
 TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
   Database db;
   db.PutRelation(GenerateBaskets({.n_baskets = 250, .n_items = 35,
@@ -553,9 +548,16 @@ TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
   std::vector<BanditArm> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   ASSERT_GE(arms.size(), 4u);
+  // The explicit RUN modes are fixed arms through the same executor.
+  for (const char* mode : {"DIRECT", "REDUCED", "PLAN", "DYNAMIC"}) {
+    Result<BanditArm> fixed = ArmForMode(mode, DynamicKnobs{});
+    ASSERT_TRUE(fixed.ok()) << mode;
+    arms.push_back(std::move(*fixed));
+  }
   for (const BanditArm& arm : arms) {
     for (unsigned threads : {0u, 1u, 4u}) {
-      Result<Relation> got = ExecuteArm(arm, flock, db, model, threads);
+      Result<Relation> got = ExecuteArm(arm, flock, db, [&] { return &model; },
+                                        {.threads = threads});
       ASSERT_TRUE(got.ok())
           << arm.id << " threads=" << threads << ": "
           << got.status().ToString();
@@ -564,6 +566,39 @@ TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
           << "arm " << arm.id << " diverged at threads=" << threads;
     }
   }
+}
+
+// ExecuteArm asks for the cost model only when the arm needs one: the
+// plan search, or estimates while metrics are collected. Explicit
+// DIRECT / REDUCED / DYNAMIC runs without metrics never build it.
+TEST(LearnedDifferentialTest, ExecuteArmAsksForModelOnlyWhenNeeded) {
+  Database db;
+  db.PutRelation(GenerateBaskets({.n_baskets = 120, .n_items = 20,
+                                  .avg_basket_size = 4, .seed = 43}));
+  QueryFlock flock =
+      Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
+            FilterCondition::MinSupport(4));
+  CostModel model(db);
+  int calls = 0;
+  CostModelSource source = [&]() -> Result<const CostModel*> {
+    ++calls;
+    return &model;
+  };
+  auto arm = [](const char* mode) { return *ArmForMode(mode, DynamicKnobs{}); };
+  for (const char* mode : {"DIRECT", "REDUCED", "DYNAMIC"}) {
+    ASSERT_TRUE(ExecuteArm(arm(mode), flock, db, source).ok()) << mode;
+  }
+  EXPECT_EQ(calls, 0);
+  ASSERT_TRUE(ExecuteArm(arm("PLAN"), flock, db, source).ok());
+  EXPECT_GT(calls, 0);
+
+  calls = 0;
+  OpMetrics root;
+  ASSERT_TRUE(
+      ExecuteArm(arm("DIRECT"), flock, db, source, {.metrics = &root}).ok());
+  EXPECT_EQ(calls, 1);
+  EXPECT_DOUBLE_EQ(root.est_rows, model.EstimateSurvivors(flock.query, 4));
+  EXPECT_FALSE(ArmForMode("SIDEWAYS", DynamicKnobs{}).ok());
 }
 
 }  // namespace

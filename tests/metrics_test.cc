@@ -112,6 +112,12 @@ TEST(OpMetricsTest, ToStringRendersCountersAndSkew) {
   text = node.ToString();
   EXPECT_NE(text.find("est=610 (x2.00)"), std::string::npos);
 
+  node.est_rows = 0.25;  // sub-row estimate: no (meaningless) skew ratio
+  text = node.ToString();
+  EXPECT_NE(text.find("est<1"), std::string::npos);
+  EXPECT_EQ(text.find("(x"), std::string::npos);
+  EXPECT_NE(node.ToJson().find("\"est_rows\":0.25"), std::string::npos);
+
   node.est_rows = 0.0;  // zero estimate, nonzero actual: infinite skew
   EXPECT_NE(node.ToString().find("est=0 (xinf)"), std::string::npos);
   node.rows_out = 0;

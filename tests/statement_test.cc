@@ -110,7 +110,7 @@ TEST(ReplRegressionTest, ScriptMatchesStatementByStatementExecution) {
       "FILTER COUNT >= 3;\n"
       "SHOW RELATIONS;";
   Shell whole;
-  Result<std::string> script_out = whole.ExecuteScript(script);
+  StatementOutcome script_out = whole.ExecuteScript(script);
   ASSERT_TRUE(script_out.ok());
 
   Shell split;
@@ -120,17 +120,30 @@ TEST(ReplRegressionTest, ScriptMatchesStatementByStatementExecution) {
     ASSERT_TRUE(outcome.ok()) << stmt;
     stitched += outcome.output;
   }
-  EXPECT_EQ(*script_out, stitched);
+  EXPECT_EQ(script_out.output, stitched);
 }
 
 TEST(ReplRegressionTest, ExecuteScriptStopsAtFirstError) {
   Shell shell;
-  Result<std::string> out = shell.ExecuteScript(
-      "GEN BASKETS b n_baskets=10 n_items=5 seed=1; RUN missing; HELP;");
+  StatementOutcome out = shell.ExecuteScript(
+      "GEN BASKETS b n_baskets=10 n_items=5 seed=1;\n"
+      "FLOCK f QUERY answer(B) :- b(B,$1)\n"
+      "  FILTER COUNT >= 1;  # a comment; with a semicolon\n"
+      "# a comment line;\n"
+      "RUN f LIMIT 1; RUN missing; HELP;");
   ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kNotFound);
-  // The statements before the failure were applied.
+  EXPECT_EQ(out.status.code(), StatusCode::kNotFound);
+  // The statements before the failure were applied, and their output is
+  // kept; nothing after the failure ran.
   EXPECT_TRUE(shell.database().Has("b"));
+  EXPECT_EQ(out.output.find("generated b: "), 0u) << out.output;
+  EXPECT_NE(out.output.find("flock f declared"), std::string::npos);
+  EXPECT_NE(out.output.find("f: "), std::string::npos);
+  EXPECT_EQ(out.output.find("statements:"), std::string::npos);  // HELP
+  // The error names the failing statement (4th) and its starting line
+  // (5th: comments and multi-line statements keep the line count).
+  EXPECT_EQ(out.status.message(),
+            "statement 4 (line 5): no flock named missing");
 }
 
 TEST(ReplRegressionTest, OpenCheckpointFlowUnchanged) {

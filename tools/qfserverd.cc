@@ -182,13 +182,14 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     qf::Shell seed_shell;
     seed_shell.SeedDatabase(options.base_db);
-    qf::Result<std::string> out = seed_shell.ExecuteScript(buffer.str());
+    qf::StatementOutcome out = seed_shell.ExecuteScript(buffer.str());
+    std::fputs(out.output.c_str(), stdout);
     if (!out.ok()) {
+      std::fflush(stdout);
       std::fprintf(stderr, "init script failed: %s\n",
-                   out.status().ToString().c_str());
+                   out.status.ToString().c_str());
       return 1;
     }
-    std::fputs(out->c_str(), stdout);
     options.base_db = seed_shell.database();
   }
 

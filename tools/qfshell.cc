@@ -31,13 +31,14 @@ int RunScript(qf::Shell& shell, const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  qf::Result<std::string> output = shell.ExecuteScript(buffer.str());
+  qf::StatementOutcome outcome = shell.ExecuteScript(buffer.str());
   g_interrupted.store(false, std::memory_order_relaxed);
-  if (!output.ok()) {
-    std::fprintf(stderr, "error: %s\n", output.status().ToString().c_str());
+  std::fputs(outcome.output.c_str(), stdout);
+  if (!outcome.ok()) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "error: %s\n", outcome.status.ToString().c_str());
     return 1;
   }
-  std::fputs(output->c_str(), stdout);
   return 0;
 }
 
@@ -52,12 +53,11 @@ int RunRepl(qf::Shell& shell) {
     pending += line + "\n";
     // Execute once the buffer holds at least one full statement.
     if (line.find(';') != std::string::npos) {
-      qf::Result<std::string> output = shell.ExecuteScript(pending);
+      qf::StatementOutcome outcome = shell.ExecuteScript(pending);
       g_interrupted.store(false, std::memory_order_relaxed);
-      if (output.ok()) {
-        std::fputs(output->c_str(), stdout);
-      } else {
-        std::printf("error: %s\n", output.status().ToString().c_str());
+      std::fputs(outcome.output.c_str(), stdout);
+      if (!outcome.ok()) {
+        std::printf("error: %s\n", outcome.status.ToString().c_str());
       }
       pending.clear();
     }
