@@ -61,21 +61,6 @@ void BM_Micro_NaturalJoin(benchmark::State& state) {
                           static_cast<std::int64_t>(out_rows));
 }
 
-void BM_Micro_SortMergeJoin(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Relation a = RandomRelation(n, n / 10, 1);
-  Relation b = Rename(RandomRelation(n, n / 10, 2), {"K", "W"});
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    Relation j = SortMergeJoin(a, b);
-    out_rows = j.size();
-    benchmark::DoNotOptimize(j);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(out_rows));
-}
-
 void BM_Micro_ParallelJoin(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   unsigned threads = static_cast<unsigned>(state.range(1));
@@ -87,21 +72,6 @@ void BM_Micro_ParallelJoin(benchmark::State& state) {
   for (auto _ : state) {
     Relation j = ParallelNaturalJoin(a, b, threads);
     benchmark::DoNotOptimize(j);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-
-void BM_Micro_ParallelGroupCount(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  unsigned threads = static_cast<unsigned>(state.range(1));
-  Relation a = RandomRelation(n, n / 20, 4);
-  // Parallel group-by is bit-identical for every thread count.
-  QF_CHECK(GroupAggregate(a, {"K"}, AggKind::kCount, "", "n", threads)
-               .rows() ==
-           GroupAggregate(a, {"K"}, AggKind::kCount, "", "n", 1).rows());
-  for (auto _ : state) {
-    Relation g = GroupAggregate(a, {"K"}, AggKind::kCount, "", "n", threads);
-    benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -301,7 +271,6 @@ void BM_Micro_Parser(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Micro_NaturalJoin)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_Micro_SortMergeJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Micro_ParallelJoin)
     ->Args({100000, 1})
     ->Args({100000, 2})
@@ -314,10 +283,6 @@ BENCHMARK(BM_Micro_ProjectDedup)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Arg(1000000);
 BENCHMARK(BM_Micro_GroupCount)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Arg(1000000);
-BENCHMARK(BM_Micro_ParallelGroupCount)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4});
 BENCHMARK(BM_Micro_AntiJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Micro_PipelineMetricsOff)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Micro_PipelineMetricsOn)->Arg(10000)->Arg(100000);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <unordered_set>
+#include <span>
 
 #include "common/check.h"
 #include "common/flat_hash.h"
@@ -159,6 +159,273 @@ bool ColumnsBound(const std::vector<Term>& terms, const Schema& schema) {
   return true;
 }
 
+// A positive subgoal's binding relation. A subgoal that only renames its
+// base relation's columns (distinct variables, no constants) starts as a
+// view of the base rows: nothing is copied or charged until an operator
+// needs a relation of its own, and the fused final join reads views in
+// place — so the pair flock's body copies no row at all.
+struct Binding {
+  const Subgoal* subgoal = nullptr;
+  const Relation* view = nullptr;  // the base, while this is a view
+  Relation rel;                    // the schema; the rows once owned
+
+  const std::vector<Tuple>& rows() const {
+    return view != nullptr ? view->rows() : rel.rows();
+  }
+  std::size_t size() const { return rows().size(); }
+  bool empty() const { return rows().empty(); }
+  const Schema& schema() const { return rel.schema(); }
+  std::size_t arity() const { return rel.arity(); }
+};
+
+// True when SubgoalBindings(subgoal, base) would equal `base` renamed.
+bool RenamesBase(const Subgoal& subgoal) {
+  std::set<std::string> seen;
+  for (const Term& t : subgoal.args()) {
+    if (t.is_constant() || !seen.insert(TermColumn(t)).second) return false;
+  }
+  return !seen.empty();
+}
+
+// The default sink: dedups pushed rows into a relation in first-occurrence
+// order — exactly Project's output over the rows pushed — and charges
+// ApproxTupleBytes per kept row, as Project does.
+class CollectingSink : public TupleSink {
+ public:
+  CollectingSink(Schema schema, QueryContext* ctx)
+      : out_(std::move(schema)),
+        ctx_(ctx),
+        gov_(ctx, ApproxTupleBytes(out_.arity())) {}
+
+  using TupleSink::Push;
+  Status Push(std::span<const Value> row) override {
+    QF_CHECK_MSG(out_.size() < 0xFFFFFFFFull,
+                 "flat-hash kernels address at most 2^32-1 rows");
+    bool fresh = seen_.Insert(
+        static_cast<std::uint32_t>(out_.size()), TupleHash::Of(row),
+        [&](std::uint32_t prev) {
+          const Tuple& t = out_.rows()[prev];
+          return std::equal(t.begin(), t.end(), row.begin(), row.end());
+        },
+        probes_);
+    if (!fresh) return Status::Ok();
+    if (!gov_.Admit()) return ctx_->Check();
+    out_.Add(Tuple(row.begin(), row.end()));
+    return Status::Ok();
+  }
+
+  // Charges the last partial stride; the context's error if it tripped.
+  Status Flush() {
+    if (!gov_.Flush() && ctx_ != nullptr) return ctx_->Check();
+    return Status::Ok();
+  }
+  Relation& rows() { return out_; }
+  std::uint64_t probes() const { return probes_; }
+  std::uint64_t mem_bytes() const { return gov_.total_bytes(); }
+
+ private:
+  Relation out_;
+  QueryContext* ctx_;
+  OpGovernor gov_;
+  FlatTupleSet seen_;
+  std::uint64_t probes_ = 0;
+};
+
+// The fused final join: probes `build` with the rows of `probe` (or, with
+// no build side, takes `probe`'s rows as they are), tests each joined row
+// against the still-pending comparisons and negations, and emits its
+// projection onto the output columns. Joined rows are never built: every
+// column is read in place from the probe row or the build match. Emission
+// order is NaturalJoin's — probe rows in order, matches in build order.
+class FusedJoin {
+ public:
+  // Counters of one run.
+  struct Counters {
+    std::uint64_t joined = 0;  // rows the join produced
+    std::uint64_t passed = 0;  // ... that passed every fused predicate
+    std::uint64_t probes = 0;  // hash-table slot probes
+  };
+
+  FusedJoin(const Binding& probe, const Binding* build,
+            const Schema& joined, std::vector<std::size_t> b_rest,
+            const std::vector<const Subgoal*>& compares,
+            const std::vector<const Relation*>& negations,
+            const std::vector<std::string>& output_columns,
+            std::uint64_t& build_probes)
+      : probe_(probe),
+        build_(build),
+        b_rest_(std::move(b_rest)),
+        a_arity_(probe.arity()) {
+    for (const Subgoal* s : compares) {
+      compares_.push_back(
+          {s->op(), Resolve(s->lhs(), joined), Resolve(s->rhs(), joined)});
+    }
+    for (const Relation* bindings : negations) {
+      Negation n;
+      n.bindings = bindings;
+      const Schema& ns = bindings->schema();
+      for (std::size_t j = 0; j < ns.arity(); ++j) {
+        if (std::optional<std::size_t> col = joined.IndexOf(ns.column(j))) {
+          n.row_cols.push_back(*col);
+          n.neg_cols.push_back(j);
+        }
+      }
+      // With no shared column AntiJoin keeps every row iff the binding
+      // is empty.
+      n.drop_all = n.row_cols.empty() && !bindings->empty();
+      if (!n.row_cols.empty()) {
+        QF_CHECK_MSG(bindings->size() < 0xFFFFFFFFull,
+                     "flat-hash kernels address at most 2^32-1 rows");
+        KeyCols key(n.neg_cols, bindings->arity());
+        const std::vector<Tuple>& nrows = bindings->rows();
+        n.keys.Reserve(nrows.size());
+        for (std::size_t r = 0; r < nrows.size(); ++r) {
+          n.keys.Insert(
+              static_cast<std::uint32_t>(r), key.Hash(nrows[r]),
+              [&](std::uint32_t prev) { return key.Eq(nrows[r], nrows[prev]); },
+              build_probes);
+        }
+      }
+      negations_.push_back(std::move(n));
+    }
+    for (const std::string& c : output_columns) {
+      out_cols_.push_back(*joined.IndexOf(c));
+    }
+    if (build_ != nullptr && !probe.empty() && !build->empty()) {
+      // Shared columns form the join key (relational/ops.cc's layout).
+      for (std::size_t j = 0; j < build->arity(); ++j) {
+        if (std::optional<std::size_t> i =
+                probe.schema().IndexOf(build->schema().column(j))) {
+          a_key_idx_.push_back(*i);
+          b_key_idx_.push_back(j);
+        }
+      }
+      QF_CHECK_MSG(build->size() < 0xFFFFFFFFull,
+                   "flat-hash kernels address at most 2^32-1 rows");
+      KeyCols b_key(b_key_idx_, build->arity());
+      const std::vector<Tuple>& b_rows = build->rows();
+      index_.Reserve(b_rows.size());
+      for (std::size_t r = 0; r < b_rows.size(); ++r) {
+        index_.AddRow(
+            static_cast<std::uint32_t>(r), b_key.Hash(b_rows[r]),
+            [&](std::uint32_t prev) { return b_key.Eq(b_rows[r], b_rows[prev]); },
+            build_probes);
+      }
+      index_.Finalize();
+    }
+  }
+
+  std::size_t out_arity() const { return out_cols_.size(); }
+
+  // Runs every probe row, calling emit(row) for each output row in probe
+  // order; stops early when emit returns false or the context trips.
+  template <typename Emit>
+  void Run(QueryContext* ctx, const Emit& emit, Counters& c) const {
+    if (build_ != nullptr && (probe_.empty() || build_->empty())) return;
+    std::vector<Value> out(out_cols_.size());
+    OpGovernor gov(ctx, 0);  // input polling; the sink owns the output
+    const std::vector<Tuple>& a_rows = probe_.rows();
+    auto consider = [&](const Tuple& ta, const Tuple* tb) {
+      ++c.joined;
+      auto at = [&](std::size_t col) -> const Value& {
+        return col < a_arity_ ? ta[col] : (*tb)[b_rest_[col - a_arity_]];
+      };
+      if (!Passes(at, c.probes)) return true;
+      ++c.passed;
+      for (std::size_t i = 0; i < out_cols_.size(); ++i) {
+        out[i] = at(out_cols_[i]);
+      }
+      return emit(std::span<const Value>(out));
+    };
+    if (build_ == nullptr) {
+      for (const Tuple& ta : a_rows) {
+        if (!gov.TickInput() || !consider(ta, nullptr)) return;
+      }
+      return;
+    }
+    KeyCols a_key(a_key_idx_, a_arity_);
+    KeyCols b_key(b_key_idx_, build_->arity());
+    const std::vector<Tuple>& b_rows = build_->rows();
+    for (const Tuple& ta : a_rows) {
+      if (!gov.TickInput()) return;
+      FlatKeyIndex::Span matches = index_.Probe(
+          a_key.Hash(ta),
+          [&](std::uint32_t br) { return a_key.EqAcross(ta, b_key, b_rows[br]); },
+          c.probes);
+      for (const std::uint32_t* p = matches.begin; p != matches.end; ++p) {
+        if (!consider(ta, &b_rows[*p])) return;
+      }
+    }
+  }
+
+ private:
+  // A predicate term: a joined-row column, or a constant when `constant`
+  // is set.
+  struct TermRef {
+    std::size_t col = 0;
+    const Value* constant = nullptr;
+  };
+  struct Compare {
+    CompareOp op;
+    TermRef lhs, rhs;
+  };
+  struct Negation {
+    const Relation* bindings = nullptr;
+    std::vector<std::size_t> row_cols;  // shared columns, joined schema
+    std::vector<std::size_t> neg_cols;  // the same columns, binding schema
+    FlatTupleSet keys;                  // distinct keys of the binding
+    bool drop_all = false;
+  };
+
+  static TermRef Resolve(const Term& t, const Schema& joined) {
+    if (t.is_constant()) return {0, &t.constant()};
+    return {*joined.IndexOf(TermColumn(t)), nullptr};
+  }
+
+  template <typename At>
+  bool Passes(const At& at, std::uint64_t& probes) const {
+    for (const Compare& cmp : compares_) {
+      const Value& l = cmp.lhs.constant ? *cmp.lhs.constant : at(cmp.lhs.col);
+      const Value& r = cmp.rhs.constant ? *cmp.rhs.constant : at(cmp.rhs.col);
+      if (!EvalCompare(cmp.op, l, r)) return false;
+    }
+    for (const Negation& n : negations_) {
+      if (n.drop_all) return false;
+      if (n.row_cols.empty()) continue;  // empty binding keeps every row
+      std::size_t h = n.row_cols.size();
+      for (std::size_t col : n.row_cols) {
+        h = TupleHash::HashCombineValue(h, at(col));
+      }
+      const std::vector<Tuple>& nrows = n.bindings->rows();
+      bool present = n.keys.Contains(
+          h,
+          [&](std::uint32_t ref) {
+            for (std::size_t i = 0; i < n.row_cols.size(); ++i) {
+              if (!(at(n.row_cols[i]) == nrows[ref][n.neg_cols[i]])) {
+                return false;
+              }
+            }
+            return true;
+          },
+          probes);
+      if (present) return false;
+    }
+    return true;
+  }
+
+  const Binding& probe_;
+  const Binding* build_;
+  std::vector<std::size_t> b_rest_;
+  std::size_t a_arity_;
+  std::vector<std::size_t> a_key_idx_;
+  std::vector<std::size_t> b_key_idx_;
+  FlatKeyIndex index_;
+  std::vector<Compare> compares_;
+  std::vector<Negation> negations_;
+  std::vector<std::size_t> out_cols_;
+};
+
+
 }  // namespace
 
 Result<Relation> EvaluateConjunctiveBindings(
@@ -212,10 +479,11 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   };
 
-  // Resolve bases and precompute binding relations.
-  std::vector<Relation> positive_bindings;
-  positive_bindings.reserve(positives.size());
-  for (const Subgoal* s : positives) {
+  // Resolve bases and precompute binding relations (views of the base
+  // where the subgoal only renames it).
+  std::vector<Binding> positive_bindings(positives.size());
+  for (std::size_t i = 0; i < positives.size(); ++i) {
+    const Subgoal* s = positives[i];
     Result<const Relation*> base = resolver.Resolve(s->predicate());
     if (!base.ok()) return base.status();
     if ((*base)->arity() != s->args().size()) {
@@ -225,10 +493,33 @@ Result<Relation> EvaluateConjunctiveBindings(
     OpMetrics* node = m != nullptr ? m->AddChild("scan", s->predicate())
                                    : nullptr;
     ScopedOp span(node, tr);
-    positive_bindings.push_back(
-        SubgoalBindings(*s, **base, options.threads, node, ctx));
+    Binding& b = positive_bindings[i];
+    b.subgoal = s;
+    if (RenamesBase(*s)) {
+      std::vector<std::string> columns;
+      for (const Term& t : s->args()) columns.push_back(TermColumn(t));
+      b.view = *base;
+      b.rel = Relation{Schema(std::move(columns))};
+      if (node != nullptr) {
+        node->rows_in += b.size();
+        node->rows_out += b.size();
+      }
+    } else {
+      b.rel = SubgoalBindings(*s, **base, options.threads, node, ctx);
+    }
     if (Status s2 = governed(); !s2.ok()) return s2;
   }
+  // Gives a view binding rows of its own (charged like any scan output).
+  auto own = [&](Binding& b) {
+    if (b.view == nullptr) return;
+    b.rel = SubgoalBindings(*b.subgoal, *b.view, options.threads, nullptr,
+                            ctx);
+    b.view = nullptr;
+  };
+  auto release_binding = [&](Binding& b) {
+    if (b.view == nullptr) release(b.rel);
+    b = Binding();
+  };
   for (PendingNegation& pn : negations) {
     Result<const Relation*> base = resolver.Resolve(pn.subgoal->predicate());
     if (!base.ok()) return base.status();
@@ -258,15 +549,13 @@ Result<Relation> EvaluateConjunctiveBindings(
                                   " by " + positives[with]->predicate())
                 : nullptr;
         ScopedOp span(node, tr);
-        std::uint64_t dropped = 0;
-        if (ctx != nullptr) {
-          dropped = static_cast<std::uint64_t>(
-                        positive_bindings[target].size()) *
-                    ApproxTupleBytes(positive_bindings[target].arity());
-        }
-        positive_bindings[target] = SemiJoin(positive_bindings[target],
-                                             positive_bindings[with], node,
-                                             ctx);
+        Binding& reduced = positive_bindings[target];
+        own(reduced);
+        own(positive_bindings[with]);
+        std::uint64_t dropped = static_cast<std::uint64_t>(reduced.size()) *
+                                ApproxTupleBytes(reduced.arity());
+        reduced.rel =
+            SemiJoin(reduced.rel, positive_bindings[with].rel, node, ctx);
         if (ctx != nullptr) ctx->Release(dropped);
       };
       // Bottom-up: parents lose tuples with no match in their ears.
@@ -313,7 +602,7 @@ Result<Relation> EvaluateConjunctiveBindings(
   }
 
   // Fold joins, applying comparisons and negations as soon as bound.
-  Relation current = std::move(positive_bindings[order[0]]);
+  Binding current = std::move(positive_bindings[order[0]]);
   std::size_t peak = current.size();
   auto apply_ready = [&]() {
     for (PendingComparison& pc : comparisons) {
@@ -321,14 +610,15 @@ Result<Relation> EvaluateConjunctiveBindings(
       const Subgoal& s = *pc.subgoal;
       if (!ColumnsBound(s.terms(), current.schema())) continue;
       pc.applied = true;
+      own(current);
       const Schema& schema = current.schema();
       OpMetrics* node =
           m != nullptr ? m->AddChild("select", s.ToString()) : nullptr;
       ScopedOp span(node, tr);
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
-      current = Select(
-          current,
+      current.rel = Select(
+          current.rel,
           [&s, &schema](const Tuple& row) {
             return EvalCompare(s.op(), TermValue(s.lhs(), schema, row),
                                TermValue(s.rhs(), schema, row));
@@ -340,13 +630,14 @@ Result<Relation> EvaluateConjunctiveBindings(
       if (pn.applied) continue;
       if (!ColumnsBound(pn.subgoal->terms(), current.schema())) continue;
       pn.applied = true;
+      own(current);
       OpMetrics* node =
           m != nullptr ? m->AddChild("anti_join", pn.subgoal->predicate())
                        : nullptr;
       ScopedOp span(node, tr);
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
-      current = AntiJoin(current, pn.bindings, node, ctx);
+      current.rel = AntiJoin(current.rel, pn.bindings, node, ctx);
       if (ctx != nullptr) {
         ctx->Release(dropped);
         release(pn.bindings);
@@ -356,275 +647,29 @@ Result<Relation> EvaluateConjunctiveBindings(
   };
   apply_ready();
   if (Status s2 = governed(); !s2.ok()) return s2;
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    // Out-of-core streaming of the FINAL join (options.sink set): instead
-    // of materializing the widest relation of the fold, each joined row is
-    // built in a scratch tuple, run through every still-pending
-    // comparison/negation, projected onto output_columns, and Pushed into
-    // the sink (which grace-hash-spills it). Taken only when the
-    // governor's spill-activation rule fires AND every pending predicate
-    // and output column is bound by the prospective joined schema — so
-    // the conventional path, including its unsafe-query errors, is
-    // untouched whenever streaming does not strictly apply. The stream is
-    // serial and probes `current` in row order, visiting joined rows in
-    // exactly NaturalJoin's output order; combined with the sink's
-    // order-preserving partitioning this keeps results bit-identical to
-    // the materialized path at every thread count (DESIGN.md §14).
-    if (k + 1 == order.size() && options.sink != nullptr) {
-      const Relation& build = positive_bindings[order[k]];
-      // Prospective joined schema: current's columns, then build's
-      // non-shared columns in order (matches relational/ops.cc).
-      std::vector<std::size_t> a_key_idx;
-      std::vector<std::size_t> b_key_idx;
-      std::vector<std::size_t> b_rest;
-      std::vector<std::string> joined_cols = current.schema().columns();
-      for (std::size_t j = 0; j < build.arity(); ++j) {
-        const std::string& col = build.schema().columns()[j];
-        std::optional<std::size_t> in_a = current.schema().IndexOf(col);
-        if (in_a.has_value()) {
-          a_key_idx.push_back(*in_a);
-          b_key_idx.push_back(j);
-        } else {
-          b_rest.push_back(j);
-          joined_cols.push_back(col);
-        }
-      }
-      Schema joined{joined_cols};
-      constexpr std::size_t kMaxRef = 0xFFFFFFFE;  // flat-hash refs are u32
-      bool applicable = build.size() <= kMaxRef;
-      for (const PendingComparison& pc : comparisons) {
-        if (!pc.applied && !ColumnsBound(pc.subgoal->terms(), joined)) {
-          applicable = false;
-        }
-      }
-      for (const PendingNegation& pn : negations) {
-        if (pn.applied) continue;
-        if (!ColumnsBound(pn.subgoal->terms(), joined) ||
-            pn.bindings.size() > kMaxRef) {
-          applicable = false;
-        }
-      }
-      for (const std::string& c : output_columns) {
-        if (!joined.Contains(c)) applicable = false;
-      }
-      std::uint64_t projected_bytes =
-          (static_cast<std::uint64_t>(current.size()) +
-           static_cast<std::uint64_t>(build.size())) *
-          ApproxTupleBytes(joined.arity());
-      // With a spill environment armed, the inputs-only projection is not
-      // enough: a skewed join's OUTPUT can dwarf both inputs and it is
-      // the output that must fit (plus its distinct copy downstream). So
-      // build the probe index once and run a counting pass — exact output
-      // cardinality, no materialization — before deciding. The index is
-      // reused by the streaming branch; the unbudgeted path never pays
-      // for any of this.
-      bool spill_armed = applicable && ctx != nullptr &&
-                         ctx->spill_env() != nullptr &&
-                         ctx->spill_env()->vfs != nullptr &&
-                         ctx->budget_bytes() > 0;
-      KeyCols a_key(a_key_idx, current.arity());
-      KeyCols b_key(b_key_idx, build.arity());
-      FlatKeyIndex stream_index;
-      std::uint64_t stream_probes = 0;
-      bool use_stream = false;
-      if (spill_armed) {
-        const std::vector<Tuple>& b_rows = build.rows();
-        stream_index.Reserve(b_rows.size());
-        for (std::size_t r = 0; r < b_rows.size(); ++r) {
-          stream_index.AddRow(
-              static_cast<std::uint32_t>(r), b_key.Hash(b_rows[r]),
-              [&](std::uint32_t prev) {
-                return b_key.Eq(b_rows[r], b_rows[prev]);
-              },
-              stream_probes);
-        }
-        stream_index.Finalize();
-        std::uint64_t out_rows = 0;
-        OpGovernor count_gov(ctx, 0);  // polls deadline/cancel only
-        for (const Tuple& ta : current.rows()) {
-          if (!count_gov.TickInput()) break;
-          FlatKeyIndex::Span matches = stream_index.Probe(
-              a_key.Hash(ta),
-              [&](std::uint32_t br) {
-                return a_key.EqAcross(ta, b_key, b_rows[br]);
-              },
-              stream_probes);
-          out_rows += static_cast<std::uint64_t>(matches.end - matches.begin);
-        }
-        count_gov.Flush();
-        if (Status s2 = governed(); !s2.ok()) return s2;
-        use_stream = SpillWanted(
-            ctx, projected_bytes + out_rows * ApproxTupleBytes(joined.arity()));
-      }
-      if (use_stream) {
-        OpMetrics* node =
-            m != nullptr
-                ? m->AddChild("join",
-                              positives[order[k]]->predicate() + " [stream]")
-                : nullptr;
-        ScopedOp op_span(node, tr);
-        std::uint64_t probes = stream_probes;
-        // Remaining comparisons become per-row predicates.
-        std::vector<const Subgoal*> row_compares;
-        for (PendingComparison& pc : comparisons) {
-          if (!pc.applied) {
-            row_compares.push_back(pc.subgoal);
-            pc.applied = true;
-          }
-        }
-        // Remaining negations become membership tests over the columns
-        // they share with the joined schema (the anti-join key). With no
-        // shared column, AntiJoin keeps a row iff the binding is empty.
-        struct RowNegation {
-          std::vector<std::size_t> row_idx;  // shared cols, joined schema
-          std::vector<std::size_t> neg_idx;  // shared cols, binding schema
-          const Relation* bindings = nullptr;
-          FlatTupleSet keys;
-          bool drop_all = false;
-          std::optional<KeyCols> row_key;
-          std::optional<KeyCols> neg_key;
-        };
-        std::vector<RowNegation> row_negations;
-        row_negations.reserve(negations.size());
-        std::vector<PendingNegation*> consumed_negations;
-        for (PendingNegation& pn : negations) {
-          if (pn.applied) continue;
-          pn.applied = true;
-          consumed_negations.push_back(&pn);
-          RowNegation rn;
-          rn.bindings = &pn.bindings;
-          const Schema& ns = pn.bindings.schema();
-          for (std::size_t j = 0; j < ns.arity(); ++j) {
-            std::optional<std::size_t> in_j = joined.IndexOf(ns.columns()[j]);
-            if (in_j.has_value()) {
-              rn.row_idx.push_back(*in_j);
-              rn.neg_idx.push_back(j);
-            }
-          }
-          if (rn.row_idx.empty()) {
-            rn.drop_all = !pn.bindings.empty();
-          } else {
-            rn.row_key.emplace(rn.row_idx, joined.arity());
-            rn.neg_key.emplace(rn.neg_idx, pn.bindings.arity());
-            rn.keys.Reserve(pn.bindings.size());
-            const std::vector<Tuple>& nrows = pn.bindings.rows();
-            for (std::size_t r = 0; r < nrows.size(); ++r) {
-              rn.keys.Insert(
-                  static_cast<std::uint32_t>(r), rn.neg_key->Hash(nrows[r]),
-                  [&](std::uint32_t prev) {
-                    return rn.neg_key->Eq(nrows[r], nrows[prev]);
-                  },
-                  probes);
-            }
-          }
-          // Vector moves keep their heap buffers, so the KeyCols pointers
-          // into row_idx/neg_idx stay valid after this move.
-          row_negations.push_back(std::move(rn));
-        }
-        std::vector<std::size_t> out_idx;
-        out_idx.reserve(output_columns.size());
-        for (const std::string& c : output_columns) {
-          out_idx.push_back(*joined.IndexOf(c));
-        }
-        // Build side indexed above (the counting pass); probe `current`
-        // in row order — NaturalJoin's layout and output order exactly.
-        const std::vector<Tuple>& b_rows = build.rows();
-        FlatKeyIndex& index = stream_index;
-        Status push_status;
-        Tuple combined;
-        std::uint64_t pushed = 0;
-        OpGovernor gov(ctx, 0);  // input polling; the sink owns the output
-        for (const Tuple& ta : current.rows()) {
-          if (!gov.TickInput()) break;
-          FlatKeyIndex::Span matches = index.Probe(
-              a_key.Hash(ta),
-              [&](std::uint32_t br) {
-                return a_key.EqAcross(ta, b_key, b_rows[br]);
-              },
-              probes);
-          for (const std::uint32_t* p = matches.begin; p != matches.end;
-               ++p) {
-            const Tuple& tb = b_rows[*p];
-            combined.assign(ta.begin(), ta.end());
-            for (std::size_t j : b_rest) combined.push_back(tb[j]);
-            bool pass = true;
-            for (const Subgoal* s : row_compares) {
-              if (!EvalCompare(s->op(), TermValue(s->lhs(), joined, combined),
-                               TermValue(s->rhs(), joined, combined))) {
-                pass = false;
-                break;
-              }
-            }
-            for (const RowNegation& rn : row_negations) {
-              if (!pass) break;
-              if (rn.drop_all) {
-                pass = false;
-                break;
-              }
-              if (rn.row_idx.empty()) continue;  // empty binding keeps all
-              const std::vector<Tuple>& nrows = rn.bindings->rows();
-              if (rn.keys.Contains(
-                      rn.row_key->Hash(combined),
-                      [&](std::uint32_t ref) {
-                        return rn.row_key->EqAcross(combined, *rn.neg_key,
-                                                    nrows[ref]);
-                      },
-                      probes)) {
-                pass = false;
-              }
-            }
-            if (!pass) continue;
-            push_status = options.sink->Push(ProjectTuple(combined, out_idx));
-            if (!push_status.ok()) break;
-            ++pushed;
-          }
-          if (!push_status.ok()) break;
-        }
-        gov.Flush();
-        if (!push_status.ok()) return push_status;
-        if (Status s2 = governed(); !s2.ok()) return s2;
-        options.sink->engaged = true;
-        if (node != nullptr) {
-          node->rows_in += current.size();
-          node->rows_in_right += build.size();
-          node->rows_out += pushed;
-          node->tuples_probed += probes;
-        }
-        peak = std::max(peak, current.size());
-        if (peak_rows != nullptr) *peak_rows = peak;
-        // Everything materialized is now dead: the fold intermediate, the
-        // final binding, and the consumed negation bindings.
-        release(current);
-        release(positive_bindings[order[k]]);
-        positive_bindings[order[k]] = Relation();
-        for (PendingNegation* pn : consumed_negations) {
-          release(pn->bindings);
-          pn->bindings = Relation();
-        }
-        return Relation{Schema(output_columns)};
-      }
-    }
+  // Every join but the last materializes its (filtered) result.
+  for (std::size_t k = 1; k + 1 < order.size(); ++k) {
+    OpMetrics* node =
+        m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
+                     : nullptr;
     {
-      OpMetrics* node =
-          m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
-                       : nullptr;
       ScopedOp span(node, tr);
       // The parallel join preserves the serial join's row order, so the
       // fold's intermediates are identical for every thread count.
+      own(current);
+      Binding& next = positive_bindings[order[k]];
+      own(next);
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
-      current =
+      current.rel =
           options.threads > 1
-              ? ParallelNaturalJoin(current, positive_bindings[order[k]],
-                                    options.threads, node, ctx)
-              : NaturalJoin(current, positive_bindings[order[k]], node, ctx);
-      if (ctx != nullptr) {
-        // The old intermediate and the consumed binding are dead; hand
-        // their accounted bytes back (and actually free the binding).
-        ctx->Release(dropped);
-        release(positive_bindings[order[k]]);
-        positive_bindings[order[k]] = Relation();
-      }
+              ? ParallelNaturalJoin(current.rel, next.rel, options.threads,
+                                    node, ctx)
+              : NaturalJoin(current.rel, next.rel, node, ctx);
+      // The old intermediate and the consumed binding are dead; hand
+      // their accounted bytes back (and actually free the binding).
+      if (ctx != nullptr) ctx->Release(dropped);
+      release_binding(next);
     }
     if (Status s2 = governed(); !s2.ok()) return s2;
     peak = std::max(peak, current.size());
@@ -632,38 +677,132 @@ Result<Relation> EvaluateConjunctiveBindings(
     if (Status s2 = governed(); !s2.ok()) return s2;
   }
 
+  // The final join is fused (DESIGN.md §14): each joined row is tested
+  // against the still-pending comparisons and negations, projected onto
+  // output_columns, and pushed into a sink — neither the join output nor
+  // a selection or projection of it is ever materialized. With a single
+  // positive subgoal the scan's rows stream the same way.
+  Binding* build =
+      order.size() > 1 ? &positive_bindings[order.back()] : nullptr;
+  std::vector<std::string> joined_cols = current.schema().columns();
+  std::vector<std::size_t> b_rest;
+  if (build != nullptr) {
+    for (std::size_t j = 0; j < build->arity(); ++j) {
+      const std::string& col = build->schema().column(j);
+      if (!current.schema().Contains(col)) {
+        b_rest.push_back(j);
+        joined_cols.push_back(col);
+      }
+    }
+  }
+  Schema joined{joined_cols};
+  std::vector<const Subgoal*> fused_compares;
+  std::vector<const Relation*> fused_negations;
+  std::string fused_detail;
   for (const PendingComparison& pc : comparisons) {
-    if (!pc.applied) {
+    if (pc.applied) continue;
+    if (!ColumnsBound(pc.subgoal->terms(), joined)) {
       return FailedPreconditionError(
           "arithmetic subgoal never became bound (unsafe query): " +
           pc.subgoal->ToString());
     }
+    fused_compares.push_back(pc.subgoal);
+    fused_detail += (fused_detail.empty() ? "" : " AND ") +
+                    pc.subgoal->ToString();
   }
   for (const PendingNegation& pn : negations) {
-    if (!pn.applied) {
+    if (pn.applied) continue;
+    if (!ColumnsBound(pn.subgoal->terms(), joined)) {
       return FailedPreconditionError(
           "negated subgoal never became bound (unsafe query): " +
           pn.subgoal->ToString());
     }
+    fused_negations.push_back(&pn.bindings);
+    fused_detail += (fused_detail.empty() ? "" : " AND ") +
+                    pn.subgoal->ToString();
   }
-
   for (const std::string& c : output_columns) {
-    if (!current.schema().Contains(c)) {
+    if (!joined.Contains(c)) {
       return InvalidArgumentError("output column " + c +
                                   " is not bound by the query body");
     }
   }
-  if (peak_rows != nullptr) *peak_rows = peak;
-  OpMetrics* node = m != nullptr ? m->AddChild("project") : nullptr;
-  ScopedOp span(node, tr);
-  Relation projected = Project(current, output_columns, node, ctx);
-  if (Status s2 = governed(); !s2.ok()) return s2;
-  release(current);
+
+  // Nodes: a "join [fused]" carrying the fused "select" and "project" as
+  // children, or just "project" when nothing is joined.
+  OpMetrics* join_node = nullptr;
+  OpMetrics* select_node = nullptr;
+  OpMetrics* project_node = nullptr;
   if (m != nullptr) {
-    m->rows_in += current.size();
-    m->rows_out += projected.size();
+    if (build != nullptr) {
+      join_node = m->AddChild(
+          "join", positives[order.back()]->predicate() + " [fused]");
+      if (!fused_detail.empty()) {
+        select_node = join_node->AddChild("select", fused_detail);
+      }
+      project_node = join_node->AddChild("project");
+    } else {
+      project_node = m->AddChild("project");
+    }
   }
-  return projected;
+  std::optional<CollectingSink> collector;
+  TupleSink* sink = options.sink;
+  if (sink == nullptr) sink = &collector.emplace(Schema(output_columns), ctx);
+
+  FusedJoin::Counters totals;
+  Status push_status;
+  {
+    ScopedOp span(join_node != nullptr ? join_node : project_node, tr);
+    FusedJoin fused(current, build, joined, std::move(b_rest), fused_compares,
+                    fused_negations, output_columns, totals.probes);
+    fused.Run(ctx,
+              [&](std::span<const Value> row) {
+                push_status = sink->Push(row);
+                return push_status.ok();
+              },
+              totals);
+    if (push_status.ok() && collector.has_value()) {
+      push_status = collector->Flush();
+    }
+  }
+  if (!push_status.ok()) return push_status;
+  if (Status s2 = governed(); !s2.ok()) return s2;
+
+  peak = std::max<std::size_t>(peak, totals.joined);
+  if (peak_rows != nullptr) *peak_rows = peak;
+  if (join_node != nullptr) {
+    join_node->rows_in += current.size();
+    join_node->rows_in_right += build->size();
+    join_node->rows_out += totals.joined;
+    join_node->tuples_probed += totals.probes;
+    if (select_node != nullptr) {
+      select_node->rows_in += totals.joined;
+      select_node->rows_out += totals.passed;
+    }
+  }
+  if (project_node != nullptr) {
+    project_node->rows_in += totals.passed;
+    if (collector.has_value()) {
+      project_node->rows_out += collector->rows().size();
+      project_node->tuples_probed += collector->probes();
+      project_node->mem_bytes += collector->mem_bytes();
+    } else {
+      project_node->rows_out += totals.passed;
+    }
+  }
+  // Everything materialized is now dead: the fold intermediate, the final
+  // binding, and the consumed negation bindings.
+  release_binding(current);
+  if (build != nullptr) release_binding(*build);
+  for (PendingNegation& pn : negations) {
+    if (pn.applied) continue;
+    release(pn.bindings);
+    pn.bindings = Relation();
+  }
+  if (m != nullptr) m->rows_in += totals.passed;
+  if (!collector.has_value()) return Relation{Schema(output_columns)};
+  if (m != nullptr) m->rows_out += collector->rows().size();
+  return std::move(collector->rows());
 }
 
 }  // namespace qf

@@ -74,7 +74,10 @@ struct CqEvalOptions {
   // Observability (common/metrics.h). When `metrics` is non-null the
   // evaluation appends one child node per operator it runs — "scan" per
   // subgoal, then the fold chain ("join" / "select" / "anti_join", plus
-  // "semi_join" nodes for full-reducer sweeps) and a final "project" — each
+  // "semi_join" nodes for full-reducer sweeps), and last the fused final
+  // join "join <pred> [fused]" whose "select" and "project" children count
+  // the rows passing the fused predicates and the rows projected (a plain
+  // "project" node when the body has one positive subgoal) — each
   // carrying row counters and wall time. `trace` additionally receives
   // span begin/end events; it is ignored unless `metrics` is set. Both
   // pointers must outlive the call. Null (the default) is allocation-free.
@@ -86,24 +89,26 @@ struct CqEvalOptions {
   // RESOURCE_EXHAUSTED) as soon as it latches, discarding intermediates.
   // Null (the default) is cost-free.
   QueryContext* ctx = nullptr;
-  // Out-of-core streaming (relational/spill.h). When non-null AND the
-  // governor's spill-activation rule fires at the final join, the
-  // evaluation streams that join: each joined row has the still-pending
-  // comparisons/negations applied, is projected onto output_columns, and
-  // is Pushed into the sink instead of ever being materialized — the
-  // sink's `engaged` flag is set and an *empty* relation is returned (the
-  // caller reads the real result from the sink). When the rule does not
-  // fire (or streaming does not apply, e.g. a pending predicate is not
-  // bound by the joined schema), evaluation is exactly the conventional
-  // materialized path and `engaged` stays false.
+  // Where the final projected rows go (relational/spill.h). The final
+  // join is always fused: each joined row is tested against the
+  // still-pending comparisons and negations, projected onto
+  // output_columns, and pushed into a sink — no join, selection or
+  // projection output is materialized. Null (the default) collects the
+  // pushed rows into the returned relation, deduplicated in first-
+  // occurrence order: exactly Project(Select(NaturalJoin(...))). A
+  // non-null sink receives every pushed row, duplicates included, in the
+  // same order at every thread count, and the evaluation returns an empty
+  // relation with the output schema.
   TupleSink* sink = nullptr;
 };
 
 // Evaluates the body of `cq` and projects the bindings onto
-// `output_columns` (deduplicated). Output columns must be bound by the
-// body; unknown predicates, arity mismatches, or an unsafe body yield an
-// error. Tracks the peak intermediate size in `peak_rows` when non-null
-// (used by cost-model validation and the benches).
+// `output_columns` (deduplicated), or pushes them into options.sink.
+// Output columns must be bound by the body; unknown predicates, arity
+// mismatches, or an unsafe body yield an error. Tracks the peak
+// intermediate size in `peak_rows` when non-null — the fused final join
+// counts the rows it produced, as if they had been materialized (used by
+// cost-model validation and the benches).
 Result<Relation> EvaluateConjunctiveBindings(
     const ConjunctiveQuery& cq, const PredicateResolver& resolver,
     const std::vector<std::string>& output_columns,

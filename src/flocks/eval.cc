@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -77,10 +76,31 @@ Result<Relation> EvaluateFlock(
     case AggKind::kMax: agg_detail = "MAX(" + agg_column + ")"; break;
   }
 
-  // Evaluate the disjuncts — concurrently when threads allow, each into
-  // its own slot — then union the slots in disjunct order. The union
-  // order matches the serial loop's, so the answer relation is identical
-  // for every thread count.
+  // Every answer row goes through one GROUP BY + FILTER sink, in memory
+  // until the budget asks it to spill (DESIGN.md §14). It dedups the
+  // answer rows, so it also stands in for the union of the disjuncts.
+  std::function<Status(const Tuple&)> row_check;
+  if (filter.agg == FilterAgg::kSum && options.require_nonnegative_sum) {
+    std::size_t agg_idx = param_columns.size() + filter.agg_head_index;
+    row_check = [agg_idx](const Tuple& t) -> Status {
+      if (!t[agg_idx].IsNumeric() || t[agg_idx].AsNumber() < 0) {
+        return FailedPreconditionError(
+            "SUM filter saw a negative or non-numeric weight; monotone "
+            "pruning would be unsound (set require_nonnegative_sum=false "
+            "to override)");
+      }
+      return Status::Ok();
+    };
+  }
+  SpillGroupSink sink(Schema(answer_columns), param_columns.size(), agg_kind,
+                      agg_column, "_agg", std::move(row_check),
+                      ctx != nullptr ? ctx->spill_env() : nullptr, ctx,
+                      nullptr);
+
+  // One disjunct streams its final join straight into the sink. Several
+  // evaluate — concurrently when threads allow — each into its own
+  // relation, which is then pushed in disjunct order: the sink sees the
+  // same row sequence at every thread count.
   std::size_t n_disjuncts = flock.query.disjuncts.size();
   std::vector<Relation> disjunct_answers(n_disjuncts);
   std::vector<std::size_t> disjunct_peaks(n_disjuncts, 0);
@@ -88,34 +108,6 @@ Result<Relation> EvaluateFlock(
   if (m != nullptr) {
     disjunct_nodes = m->AddChildren(n_disjuncts, "disjunct");
   }
-
-  // Out-of-core fused path: with a spill grant and a single disjunct,
-  // hand the CQ evaluator a grace-hash GROUP BY sink. If the governor's
-  // activation rule fires at the final join, answer rows stream straight
-  // into checksummed partition files and the union / SUM scan / group_by
-  // below are replaced by the sink's Finish() — same grouped relation,
-  // bit for bit (DESIGN.md §14). Multi-disjunct flocks keep the
-  // materialized path: the union must dedup across disjuncts.
-  std::optional<SpillGroupSink> sink;
-  if (ctx != nullptr && ctx->spill_env() != nullptr && n_disjuncts == 1) {
-    std::function<Status(const Tuple&)> row_check;
-    if (filter.agg == FilterAgg::kSum && options.require_nonnegative_sum) {
-      std::size_t agg_idx = param_columns.size() + filter.agg_head_index;
-      row_check = [agg_idx](const Tuple& t) -> Status {
-        if (!t[agg_idx].IsNumeric() || t[agg_idx].AsNumber() < 0) {
-          return FailedPreconditionError(
-              "SUM filter saw a negative or non-numeric weight; monotone "
-              "pruning would be unsound (set require_nonnegative_sum=false "
-              "to override)");
-        }
-        return Status::Ok();
-      };
-    }
-    sink.emplace(Schema(answer_columns), param_columns.size(), agg_kind,
-                 agg_column, "_agg", std::move(row_check), *ctx->spill_env(),
-                 ctx, nullptr);
-  }
-
   auto eval_disjunct = [&](std::size_t d) -> Status {
     const ConjunctiveQuery& cq = flock.query.disjuncts[d];
     std::vector<std::string> wanted = param_columns;
@@ -136,12 +128,12 @@ Result<Relation> EvaluateFlock(
     }
     cq_options.trace = tr;
     cq_options.ctx = ctx;
-    if (sink.has_value()) cq_options.sink = &*sink;
+    if (n_disjuncts == 1) cq_options.sink = &sink;
     ScopedOp span(disjunct_nodes[d], tr);
     Result<Relation> bindings = EvaluateConjunctiveBindings(
         cq, resolver, wanted, cq_options, &disjunct_peaks[d]);
     if (!bindings.ok()) return bindings.status();
-    disjunct_answers[d] = Rename(std::move(*bindings), answer_columns);
+    disjunct_answers[d] = std::move(*bindings);
     return Status::Ok();
   };
   if (Status s = ParallelForStatus(
@@ -152,115 +144,60 @@ Result<Relation> EvaluateFlock(
   }
   if (Status s = governed(); !s.ok()) return s;
 
+  OpMetrics* union_node =
+      m != nullptr && n_disjuncts > 1 ? m->AddChild("union") : nullptr;
+  if (n_disjuncts > 1) {
+    ScopedOp span(union_node, tr);
+    for (Relation& answers : disjunct_answers) {
+      for (const Tuple& t : answers.rows()) {
+        if (Status s = sink.Push(t); !s.ok()) return s;
+      }
+      if (union_node != nullptr) union_node->rows_in += answers.size();
+      if (ctx != nullptr) {
+        // Pushed rows live on in the sink; the disjunct result is dead.
+        ctx->Release(static_cast<std::uint64_t>(answers.size()) *
+                     ApproxTupleBytes(answers.arity()));
+      }
+      answers = Relation();
+    }
+  }
+
   Relation grouped;
-  std::size_t peak = 0;
-  if (sink.has_value() && sink->engaged) {
-    // Streamed: no materialized answer set ever existed. The sink's
-    // row_check already enforced SUM nonnegativity per distinct row, and
-    // its partition drain reproduces the group_by below exactly.
-    peak = disjunct_peaks[0];
-    OpMetrics* node =
-        m != nullptr ? m->AddChild("group_by", agg_detail + " [spill]")
-                     : nullptr;
-    sink->set_metrics(node);
-    ScopedOp span(node, tr);
-    Result<Relation> g = sink->Finish();
-    if (!g.ok()) return g.status();
-    grouped = std::move(*g);
-    if (Status s = governed(); !s.ok()) return s;
-    if (info != nullptr) {
-      info->peak_rows = peak;
-      info->answer_rows = static_cast<std::size_t>(sink->answer_rows());
-    }
-  } else {
-  Relation answers{Schema(answer_columns)};
-  {
-    // One "union" node for the whole fold; counters filled once so
-    // rows_out is the exact cardinality of the unioned answer set.
-    OpMetrics* node =
-        m != nullptr && n_disjuncts > 1 ? m->AddChild("union") : nullptr;
-    ScopedOp span(node, tr);
-    for (std::size_t d = 0; d < n_disjuncts; ++d) {
-      peak = std::max(peak, disjunct_peaks[d]);
-      if (n_disjuncts == 1) {
-        answers = std::move(disjunct_answers[d]);
-      } else {
-        std::uint64_t dropped = 0;
-        if (ctx != nullptr) {
-          dropped = static_cast<std::uint64_t>(answers.size() +
-                                               disjunct_answers[d].size()) *
-                    ApproxTupleBytes(answers.arity());
-        }
-        answers = Union(answers, disjunct_answers[d], nullptr, ctx);
-        if (ctx != nullptr) {
-          // Both union inputs are dead: the consumed disjunct result is
-          // freed here, the previous accumulator was replaced.
-          ctx->Release(dropped);
-          disjunct_answers[d] = Relation();
-        }
-      }
-    }
-    if (Status s = governed(); !s.ok()) return s;
-    if (node != nullptr) {
-      for (const Relation& r : disjunct_answers) node->rows_in += r.size();
-      node->rows_out = answers.size();
-    }
-  }
-
-  if (flock.filter.agg == FilterAgg::kSum &&
-      options.require_nonnegative_sum) {
-    std::size_t agg_idx = param_columns.size() + flock.filter.agg_head_index;
-    for (const Tuple& t : answers.rows()) {
-      if (!t[agg_idx].IsNumeric() || t[agg_idx].AsNumber() < 0) {
-        return FailedPreconditionError(
-            "SUM filter saw a negative or non-numeric weight; monotone "
-            "pruning would be unsound (set require_nonnegative_sum=false "
-            "to override)");
-      }
-    }
-  }
-
-  if (info != nullptr) {
-    info->peak_rows = peak;
-    info->answer_rows = answers.size();
-  }
-
-  // The parallel overload aggregates morsel-locally and merges; the
-  // serial one is kept for threads <= 1 so the single-core path carries
-  // zero coordination overhead. Both feed the same filter + projection,
-  // and the final sort makes the returned row order identical.
   {
     OpMetrics* node =
         m != nullptr ? m->AddChild("group_by", agg_detail) : nullptr;
+    sink.set_metrics(node);
     ScopedOp span(node, tr);
-    grouped =
-        options.threads > 1
-            ? GroupAggregate(answers, param_columns, agg_kind, agg_column,
-                             "_agg", options.threads, node, ctx)
-            : GroupAggregate(answers, param_columns, agg_kind, agg_column,
-                             "_agg", node, ctx);
+    Result<Relation> g = sink.Finish(
+        [&filter](const Value& aggregate) { return filter.Accepts(aggregate); });
+    if (!g.ok()) return g.status();
+    grouped = std::move(*g);
+    if (node != nullptr && sink.spilled()) node->detail += " [spill]";
   }
   if (Status s = governed(); !s.ok()) return s;
+  if (union_node != nullptr) union_node->rows_out = sink.answer_rows();
+  if (n_disjuncts == 1 && disjunct_nodes[0] != nullptr) {
+    disjunct_nodes[0]->rows_out += sink.answer_rows();
+  }
+  if (info != nullptr) {
+    info->peak_rows = 0;
+    for (std::size_t peak : disjunct_peaks) {
+      info->peak_rows = std::max(info->peak_rows, peak);
+    }
+    info->answer_rows = static_cast<std::size_t>(sink.answer_rows());
+  }
+  if (m != nullptr) {
+    // The sink applied the filter while extracting groups.
+    OpMetrics* node = m->AddChild("filter");
+    node->rows_in = sink.groups();
+    node->rows_out = grouped.size();
   }
 
-  std::size_t agg_col = grouped.schema().IndexOfOrDie("_agg");
-  Relation passing;
-  {
-    OpMetrics* node = m != nullptr ? m->AddChild("filter") : nullptr;
-    ScopedOp span(node, tr);
-    passing = Select(
-        grouped,
-        [&filter, agg_col](const Tuple& row) {
-          return filter.Accepts(row[agg_col]);
-        },
-        node, ctx);
-  }
-  if (Status s = governed(); !s.ok()) return s;
   Relation result;
   {
     OpMetrics* node = m != nullptr ? m->AddChild("project") : nullptr;
     ScopedOp span(node, tr);
-    result = Project(passing, param_columns, node, ctx);
+    result = Project(grouped, param_columns, node, ctx);
     result.SortRows();
   }
   if (Status s = governed(); !s.ok()) return s;

@@ -32,20 +32,25 @@ struct FlockEvalOptions {
   bool require_nonnegative_sum = true;
   // Workers for the evaluation (1 = serial). With more than one:
   // independent disjuncts of a union flock evaluate concurrently on the
-  // shared pool (common/thread_pool.h), each disjunct's scans and joins
-  // run morsel-parallel, and the group-by/aggregate uses thread-local
-  // tables merged in morsel order. The answer set is identical for every
-  // value, and the result relation is returned in canonically sorted row
-  // order regardless (see DESIGN.md, "Threading model").
+  // shared pool (common/thread_pool.h), and each disjunct's scans and
+  // joins before the last run morsel-parallel; the fused final join is
+  // serial. The group-by sink receives
+  // the same row sequence at every value, so the answer set — float SUM
+  // association included — is identical for every value, and the result
+  // relation is returned in canonically sorted row order regardless (see
+  // DESIGN.md, "Threading model").
   unsigned threads = 1;
   // Observability (common/metrics.h). When `metrics` is non-null the
   // evaluator builds its operator tree under it: one "disjunct" child per
   // disjunct (holding that disjunct's scans/joins — pre-allocated before
   // the parallel fan-out, so concurrent disjuncts write disjoint
-  // subtrees), then "union" / "group_by" / "filter" / "project" nodes.
-  // Row counters are identical for every `threads` value; `morsels` and
-  // wall times reflect the actual execution. `trace` receives span events
-  // and must be thread-safe; it is ignored unless `metrics` is set.
+  // subtrees), then "union" (several disjuncts only) / "group_by" /
+  // "filter" / "project" nodes. The group_by node is the GROUP BY +
+  // FILTER sink (detail "[spill]" once it spilled); the filter node
+  // counts the groups it tested and kept. Row counters are identical for
+  // every `threads` value; `morsels` and wall times reflect the actual
+  // execution. `trace` receives span events and must be thread-safe; it
+  // is ignored unless `metrics` is set.
   OpMetrics* metrics = nullptr;
   TraceSink* trace = nullptr;
   // Resource governance (common/resource.h): propagated into every
@@ -58,7 +63,7 @@ struct FlockEvalOptions {
 struct FlockEvalInfo {
   // Peak intermediate relation size over all disjuncts.
   std::size_t peak_rows = 0;
-  // Rows of the (unioned, deduplicated) answer relation before grouping.
+  // Distinct answer rows (over all disjuncts) before grouping.
   std::size_t answer_rows = 0;
 };
 

@@ -43,6 +43,20 @@ Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
   return ExecutePlan(plan, flock, db, options, info);
 }
 
+bool FlockReadsOverlay(
+    const QueryFlock& flock,
+    const std::map<std::string, const Relation*>* overlays) {
+  if (overlays == nullptr || overlays->empty()) return false;
+  for (const ConjunctiveQuery& cq : flock.query.disjuncts) {
+    for (const Subgoal& s : cq.subgoals) {
+      if (!s.is_comparison() && overlays->contains(s.predicate())) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
                             const Database& db, const CostModelSource& model,
                             const ArmExecOptions& options) {
@@ -86,8 +100,7 @@ Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
       break;
     }
     case BanditArm::Kind::kDynamic: {
-      if (options.extra_predicates != nullptr &&
-          !options.extra_predicates->empty()) {
+      if (FlockReadsOverlay(flock, options.extra_predicates)) {
         return UnimplementedError(
             "RUN ... DYNAMIC does not support intermediate predicates yet; "
             "use DIRECT or PLAN");

@@ -126,10 +126,10 @@ Relation Select(const Relation& rel,
   return out;
 }
 
-Relation Rename(const Relation& rel, std::vector<std::string> new_names) {
+Relation Rename(Relation rel, std::vector<std::string> new_names) {
   QF_CHECK_MSG(new_names.size() == rel.arity(), "Rename arity mismatch");
   Relation out(Schema(std::move(new_names)));
-  for (const Tuple& t : rel.rows()) out.Add(t);
+  out.mutable_rows() = std::move(rel.mutable_rows());
   return out;
 }
 
@@ -271,76 +271,6 @@ Relation ParallelNaturalJoin(const Relation& a, const Relation& b,
   if (metrics != nullptr) {
     metrics->morsels += outputs.size();
     for (std::uint64_t mb : morsel_bytes) metrics->mem_bytes += mb;
-  }
-  return out;
-}
-
-Relation SortMergeJoin(const Relation& a, const Relation& b) {
-  JoinLayout layout = ComputeJoinLayout(a, b);
-  Relation out(JoinedSchema(a, b, layout));
-  if (a.empty() || b.empty()) return out;
-  if (layout.a_key.empty()) return NaturalJoin(a, b);  // cross product
-
-  // Sort row indices of both sides by their key projections.
-  auto make_order = [](const Relation& rel,
-                       const std::vector<std::size_t>& key) {
-    std::vector<std::size_t> order(rel.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&rel, &key](std::size_t x, std::size_t y) {
-                for (std::size_t k : key) {
-                  const Value& vx = rel.rows()[x][k];
-                  const Value& vy = rel.rows()[y][k];
-                  if (vx < vy) return true;
-                  if (vy < vx) return false;
-                }
-                return false;
-              });
-    return order;
-  };
-  std::vector<std::size_t> oa = make_order(a, layout.a_key);
-  std::vector<std::size_t> ob = make_order(b, layout.b_key);
-
-  auto compare_keys = [&](std::size_t ia, std::size_t ib) {
-    for (std::size_t k = 0; k < layout.a_key.size(); ++k) {
-      const Value& va = a.rows()[ia][layout.a_key[k]];
-      const Value& vb = b.rows()[ib][layout.b_key[k]];
-      if (va < vb) return -1;
-      if (vb < va) return 1;
-    }
-    return 0;
-  };
-
-  std::size_t i = 0, j = 0;
-  while (i < oa.size() && j < ob.size()) {
-    int cmp = compare_keys(oa[i], ob[j]);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      // Emit the run x run block of equal keys.
-      std::size_t i_end = i;
-      while (i_end + 1 < oa.size() &&
-             compare_keys(oa[i_end + 1], ob[j]) == 0) {
-        ++i_end;
-      }
-      std::size_t j_end = j;
-      while (j_end + 1 < ob.size() &&
-             compare_keys(oa[i], ob[j_end + 1]) == 0) {
-        ++j_end;
-      }
-      for (std::size_t x = i; x <= i_end; ++x) {
-        for (std::size_t y = j; y <= j_end; ++y) {
-          Tuple combined = a.rows()[oa[x]];
-          const Tuple& tb = b.rows()[ob[y]];
-          for (std::size_t r : layout.b_rest) combined.push_back(tb[r]);
-          out.Add(std::move(combined));
-        }
-      }
-      i = i_end + 1;
-      j = j_end + 1;
-    }
   }
   return out;
 }
@@ -501,79 +431,49 @@ Relation Distinct(const Relation& rel) {
   return out;
 }
 
+void AggAccumulator::Add(AggKind kind, std::span<const Value> row,
+                         std::size_t agg_idx) {
+  if (kind == AggKind::kCount) {
+    count += 1;
+    return;
+  }
+  const Value& v = row[agg_idx];
+  switch (kind) {
+    case AggKind::kCount:
+      break;
+    case AggKind::kSum:
+      QF_CHECK_MSG(v.IsNumeric(), "SUM over non-numeric value");
+      sum += v.AsNumber();
+      break;
+    case AggKind::kMin:
+      if (!has_extreme || v < extreme) {
+        extreme = v;
+        has_extreme = true;
+      }
+      break;
+    case AggKind::kMax:
+      if (!has_extreme || extreme < v) {
+        extreme = v;
+        has_extreme = true;
+      }
+      break;
+  }
+}
+
+Value AggAccumulator::Result(AggKind kind) const {
+  switch (kind) {
+    case AggKind::kCount:
+      return Value(count);
+    case AggKind::kSum:
+      return Value(sum);
+    case AggKind::kMin:
+    case AggKind::kMax:
+      break;
+  }
+  return extreme;
+}
+
 namespace {
-
-struct Accumulator {
-  std::int64_t count = 0;
-  double sum = 0;
-  bool has_extreme = false;
-  Value extreme;
-};
-
-void AccumulateRow(Accumulator& acc, AggKind kind, const Tuple& t,
-                   std::size_t agg_idx) {
-  switch (kind) {
-    case AggKind::kCount:
-      acc.count += 1;
-      break;
-    case AggKind::kSum:
-      QF_CHECK_MSG(t[agg_idx].IsNumeric(), "SUM over non-numeric value");
-      acc.sum += t[agg_idx].AsNumber();
-      break;
-    case AggKind::kMin:
-      if (!acc.has_extreme || t[agg_idx] < acc.extreme) {
-        acc.extreme = t[agg_idx];
-        acc.has_extreme = true;
-      }
-      break;
-    case AggKind::kMax:
-      if (!acc.has_extreme || acc.extreme < t[agg_idx]) {
-        acc.extreme = t[agg_idx];
-        acc.has_extreme = true;
-      }
-      break;
-  }
-}
-
-void MergeAccumulator(Accumulator& into, const Accumulator& from,
-                      AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount:
-      into.count += from.count;
-      break;
-    case AggKind::kSum:
-      into.sum += from.sum;
-      break;
-    case AggKind::kMin:
-      if (!into.has_extreme ||
-          (from.has_extreme && from.extreme < into.extreme)) {
-        into = from;
-      }
-      break;
-    case AggKind::kMax:
-      if (!into.has_extreme ||
-          (from.has_extreme && into.extreme < from.extreme)) {
-        into = from;
-      }
-      break;
-  }
-}
-
-Tuple FinishGroup(Tuple row, const Accumulator& acc, AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount:
-      row.push_back(Value(acc.count));
-      break;
-    case AggKind::kSum:
-      row.push_back(Value(acc.sum));
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      row.push_back(acc.extreme);
-      break;
-  }
-  return row;
-}
 
 struct GroupLayout {
   std::vector<std::size_t> group_idx;
@@ -597,13 +497,13 @@ GroupLayout ComputeGroupLayout(const Relation& rel,
 // Flat grouping state: group keys are the group columns of rel's rows,
 // hashed/compared in place (identity fast path when the group columns
 // are the whole row); accumulators live in a dense vector indexed by
-// group id. Shared by the serial kernel and each parallel morsel.
+// group id.
 struct FlatGroups {
   FlatGroupTable table;
-  std::vector<Accumulator> accs;
+  std::vector<AggAccumulator> accs;
 
   // Upserts `rel.rows()[r]`'s group and returns its accumulator.
-  Accumulator& Upsert(const std::vector<Tuple>& rows, std::size_t r,
+  AggAccumulator& Upsert(const std::vector<Tuple>& rows, std::size_t r,
                       const KeyCols& key, std::uint64_t& probes) {
     const Tuple& t = rows[r];
     auto [group, inserted] = table.Upsert(
@@ -629,7 +529,9 @@ Relation FinishGroups(const Relation& rel, const FlatGroups& groups,
   for (std::size_t g = 0; g < groups.accs.size(); ++g) {
     const Tuple& rep =
         rel.rows()[groups.table.ref_at(static_cast<std::uint32_t>(g))];
-    out.Add(FinishGroup(key.Extract(rep), groups.accs[g], kind));
+    Tuple row = key.Extract(rep);
+    row.push_back(groups.accs[g].Result(kind));
+    out.Add(std::move(row));
   }
   out.SortRows();
   return out;
@@ -681,86 +583,14 @@ Relation GroupAggregate(const Relation& rel,
   const std::vector<Tuple>& rows = rel.rows();
   for (std::size_t r = 0; r < rows.size(); ++r) {
     if (!gov.TickInput()) break;
-    AccumulateRow(groups.Upsert(rows, r, key, probes), kind, rows[r],
-                  layout.agg_idx);
+    groups.Upsert(rows, r, key, probes).Add(kind, rows[r], layout.agg_idx);
   }
-  // Sorted output (see FinishGroups): the serial overload agrees
-  // row-for-row with the parallel one at every thread count.
+  // Sorted output (see FinishGroups).
   Relation out =
       FinishGroups(rel, groups, key, group_columns, kind, output_column);
   std::uint64_t mem = ChargeGroupOutput(ctx, out);
   RecordGroupMetrics(metrics, rel, out.size());
   if (metrics != nullptr) metrics->mem_bytes += mem;
-  return out;
-}
-
-Relation GroupAggregate(const Relation& rel,
-                        const std::vector<std::string>& group_columns,
-                        AggKind kind, const std::string& agg_column,
-                        const std::string& output_column, unsigned threads,
-                        OpMetrics* metrics, QueryContext* ctx) {
-  GroupLayout layout =
-      ComputeGroupLayout(rel, group_columns, kind, agg_column);
-  CheckRefRange(rel.size());
-  KeyCols key(layout.group_idx, rel.arity());
-  const std::vector<Tuple>& rows = rel.rows();
-
-  // Fixed morsel size: the decomposition (and therefore the association
-  // order of floating-point SUM partials) depends only on the input, so
-  // every `threads` value computes bit-identical aggregates.
-  constexpr std::size_t kMorselRows = 2048;
-  std::vector<FlatGroups> partials(MorselCount(rel.size(), kMorselRows));
-  ParallelFor(threads, rel.size(), kMorselRows,
-              [&](std::size_t begin, std::size_t end) {
-                if (ctx != nullptr && !ctx->Poll()) return;
-                FlatGroups& local = partials[begin / kMorselRows];
-                local.table.Reserve(end - begin);
-                local.accs.reserve(end - begin);
-                std::uint64_t probes = 0;  // morsel-local; see below
-                OpGovernor gov(ctx, /*bytes_per_row=*/0);
-                for (std::size_t r = begin; r < end; ++r) {
-                  if (!gov.TickInput()) break;
-                  AccumulateRow(local.Upsert(rows, r, key, probes), kind,
-                                rows[r], layout.agg_idx);
-                }
-              });
-
-  // Merge thread-local tables in morsel order (deterministic). Each
-  // group's stored hash is reused — the merge never re-hashes a key.
-  // Copying the first partial's accumulator on insert (rather than
-  // merging into a fresh one) keeps the per-group float association
-  // exactly `(p0 + p1) + p2 ...` — the same at every thread count.
-  FlatGroups groups;
-  groups.table.Reserve(rel.size());
-  std::uint64_t merge_probes = 0;
-  for (FlatGroups& partial : partials) {
-    for (std::size_t g = 0; g < partial.accs.size(); ++g) {
-      std::uint32_t rep = partial.table.ref_at(static_cast<std::uint32_t>(g));
-      const Tuple& t = rows[rep];
-      auto [group, inserted] = groups.table.Upsert(
-          rep, partial.table.hash_at(static_cast<std::uint32_t>(g)),
-          [&](std::uint32_t prev) { return key.Eq(t, rows[prev]); },
-          merge_probes);
-      if (inserted) {
-        groups.accs.push_back(partial.accs[g]);
-      } else {
-        MergeAccumulator(groups.accs[group], partial.accs[g], kind);
-      }
-    }
-  }
-
-  // Sorted output (see FinishGroups); row order is a pure function of
-  // the input. tuples_probed stays "one upsert per input row" — slot
-  // counts would differ between the serial and parallel table layouts,
-  // and the metrics tree must be identical at every thread count.
-  Relation out =
-      FinishGroups(rel, groups, key, group_columns, kind, output_column);
-  std::uint64_t mem = ChargeGroupOutput(ctx, out);
-  RecordGroupMetrics(metrics, rel, out.size());
-  if (metrics != nullptr) {
-    metrics->morsels += partials.size();
-    metrics->mem_bytes += mem;
-  }
   return out;
 }
 

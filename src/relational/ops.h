@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,9 @@ Relation Select(const Relation& rel,
                 const std::function<bool(const Tuple&)>& pred,
                 OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
 
-// Renames columns: new_names.size() must equal arity.
-Relation Rename(const Relation& rel, std::vector<std::string> new_names);
+// Renames columns: new_names.size() must equal arity. Takes the relation
+// by value and moves its rows, so Rename(std::move(r), ...) copies none.
+Relation Rename(Relation rel, std::vector<std::string> new_names);
 
 // Natural join: matches rows agreeing on all shared column names. Output
 // schema is a's columns followed by b's non-shared columns. If the inputs
@@ -58,12 +60,6 @@ Relation Rename(const Relation& rel, std::vector<std::string> new_names);
 // for the output to be duplicate-free.
 Relation NaturalJoin(const Relation& a, const Relation& b,
                      OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
-
-// Natural join computed by sort-merge instead of hashing: identical
-// result set (row order differs). Wins over the hash join when inputs are
-// large relative to cache, or as a cross-check in tests; the evaluators
-// use the hash join by default.
-Relation SortMergeJoin(const Relation& a, const Relation& b);
 
 // Natural join with the probe side split into fixed-size morsels handed
 // to the shared thread pool (common/thread_pool.h): a shared read-only
@@ -103,35 +99,35 @@ Relation Distinct(const Relation& rel);
 // Aggregation kinds for GroupAggregate. All but kCount read `agg_column`.
 enum class AggKind { kCount, kSum, kMin, kMax };
 
+// The running aggregate of one group. Values are folded in Add order, so
+// a floating-point SUM associates exactly in that order.
+struct AggAccumulator {
+  std::int64_t count = 0;
+  double sum = 0;
+  bool has_extreme = false;
+  Value extreme;
+
+  // Folds in one row whose aggregated column is `agg_idx` (kCount reads
+  // no column).
+  void Add(AggKind kind, std::span<const Value> row, std::size_t agg_idx);
+  // The finished aggregate: an integer count, a double sum, or the
+  // extreme value.
+  Value Result(AggKind kind) const;
+};
+
 // Groups `rel` by `group_columns` and computes one aggregate per group over
 // the remaining data:
 //   kCount — number of (distinct) rows in the group;
 //   kSum / kMin / kMax — over the numeric column `agg_column`.
 // Output schema: group_columns + {output_column}, rows in lexicographic
-// order (both overloads sort, so serial and parallel agree row-for-row —
-// see the note on the parallel overload). Input must be duplicate-free:
-// under set semantics COUNT of a flock's answers is exactly the number of
-// distinct rows per group.
+// order, so the result never depends on a hash-table layout. Values are
+// folded in row order (a float SUM associates left to right). Input must
+// be duplicate-free: under set semantics COUNT of a flock's answers is
+// exactly the number of distinct rows per group.
 Relation GroupAggregate(const Relation& rel,
                         const std::vector<std::string>& group_columns,
                         AggKind kind, const std::string& agg_column,
                         const std::string& output_column,
-                        OpMetrics* metrics = nullptr,
-                        QueryContext* ctx = nullptr);
-
-// Morsel-parallel GroupAggregate: rows are split into fixed-size morsels,
-// each aggregated into a thread-local hash table on the shared pool, the
-// per-morsel tables merged in morsel order, and the output rows sorted
-// lexicographically. The result is bit-identical for every `threads`
-// value (including 0 and 1): morsel boundaries and the merge order depend
-// only on the input, so even floating-point SUM associates identically,
-// and the final sort pins the row order. The serial overload above now
-// sorts as well, so the two agree exactly except that floating-point SUM
-// may differ in association (the sums are equal up to rounding).
-Relation GroupAggregate(const Relation& rel,
-                        const std::vector<std::string>& group_columns,
-                        AggKind kind, const std::string& agg_column,
-                        const std::string& output_column, unsigned threads,
                         OpMetrics* metrics = nullptr,
                         QueryContext* ctx = nullptr);
 

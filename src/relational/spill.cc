@@ -1,7 +1,6 @@
 #include "relational/spill.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -51,16 +50,13 @@ void CheckRefRange(std::size_t rows) {
 }
 
 // --- record codecs ---------------------------------------------------
-// Every spill record leads with the row's 64-bit partition-key hash so
-// recursion can redistribute records without decoding the values; join
-// and project records carry the row's original input index next (the tag
-// the k-way merge restores row order by).
+// Every spill record leads with the row's 64-bit group-key hash so
+// recursion can redistribute records without decoding the values.
 
 void EncodeRecord(std::string& out, std::uint64_t hash,
-                  const std::uint64_t* tag, const Tuple& row) {
+                  std::span<const Value> row) {
   out.clear();
   PutU64(out, hash);
-  if (tag != nullptr) PutU64(out, *tag);
   for (const Value& v : row) PutValue(out, v);
 }
 
@@ -73,16 +69,12 @@ Status PeekHash(std::string_view record, std::uint64_t* hash) {
 }
 
 Status DecodeRecord(std::string_view record, std::size_t arity,
-                    std::uint64_t* hash, std::uint64_t* tag, Tuple* row) {
+                    std::uint64_t* hash, Tuple* row) {
   ByteReader r(record);
   if (!r.GetU64(hash)) return CorruptRecord();
-  if (tag != nullptr && !r.GetU64(tag)) return CorruptRecord();
-  row->clear();
-  row->reserve(arity);
+  row->resize(arity);
   for (std::size_t i = 0; i < arity; ++i) {
-    Value v;
-    if (!r.GetValue(&v)) return CorruptRecord();
-    row->push_back(std::move(v));
+    if (!r.GetValue(&(*row)[i])) return CorruptRecord();
   }
   if (!r.AtEnd()) return CorruptRecord();  // arity mismatch
   return Status::Ok();
@@ -136,70 +128,6 @@ bool ShouldRecurse(QueryContext* ctx, const SpillEnv& env, std::size_t level,
   if (ctx == nullptr || ctx->budget_bytes() == 0) return false;
   if (level + 1 >= env.max_depth) return false;
   return ctx->used_bytes() + load_bytes > ctx->budget_bytes();
-}
-
-// --- join/project order restoration ----------------------------------
-
-struct TaggedRow {
-  std::uint64_t tag = 0;  // original input-row index
-  Tuple row;
-};
-
-// K-way merge by tag. Each part is ascending in tag (equal tags — one
-// probe row's multiple matches — are contiguous within a single part and
-// stay in their relative order), so the result is the global input order.
-void MergeByTag(std::vector<std::vector<TaggedRow>>& parts,
-                std::vector<TaggedRow>& out) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  out.reserve(out.size() + total);
-  std::vector<std::size_t> cur(parts.size(), 0);
-  for (;;) {
-    std::size_t best = parts.size();
-    std::uint64_t best_tag = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (cur[i] < parts[i].size() &&
-          (best == parts.size() || parts[i][cur[i]].tag < best_tag)) {
-        best = i;
-        best_tag = parts[i][cur[i]].tag;
-      }
-    }
-    if (best == parts.size()) break;
-    do {
-      out.push_back(std::move(parts[best][cur[best]]));
-      ++cur[best];
-    } while (cur[best] < parts[best].size() &&
-             parts[best][cur[best]].tag == best_tag);
-  }
-}
-
-// --- join layout (mirrors relational/ops.cc) --------------------------
-
-struct JoinLayout {
-  std::vector<std::size_t> a_key;
-  std::vector<std::size_t> b_key;
-  std::vector<std::size_t> b_rest;
-};
-
-JoinLayout ComputeJoinLayout(const Relation& a, const Relation& b) {
-  JoinLayout layout;
-  for (std::size_t j = 0; j < b.arity(); ++j) {
-    std::optional<std::size_t> i = a.schema().IndexOf(b.schema().column(j));
-    if (i.has_value()) {
-      layout.a_key.push_back(*i);
-      layout.b_key.push_back(j);
-    } else {
-      layout.b_rest.push_back(j);
-    }
-  }
-  return layout;
-}
-
-Schema JoinedSchema(const Relation& a, const Relation& b,
-                    const JoinLayout& layout) {
-  std::vector<std::string> columns = a.schema().columns();
-  for (std::size_t j : layout.b_rest) columns.push_back(b.schema().column(j));
-  return Schema(std::move(columns));
 }
 
 }  // namespace
@@ -353,65 +281,197 @@ bool SpillReader::Next(std::string_view* record) {
 // ---------------------------------------------------------------------
 // SpillGroupSink.
 
+// Accounted bytes of one group: its key-table slot and stored hash, its
+// first-row id and its accumulator. Rows are charged ApproxTupleBytes.
+constexpr std::size_t kGroupBytes = 16 + sizeof(std::uint64_t) +
+                                    sizeof(std::uint32_t) +
+                                    sizeof(AggAccumulator);
+
+// Distinct rows and their groups in memory: the sink's whole state before
+// a spill, one partition's while Finish drains it.
+class SpillGroupSink::Table {
+ public:
+  Table(std::size_t arity, std::size_t key_n)
+      : arity_(arity), key_n_(key_n) {}
+
+  std::size_t rows() const { return row_ids_.size(); }
+  std::size_t groups() const { return accs_.size(); }
+  std::span<const Value> row(std::size_t r) const {
+    return {values_.data() + r * arity_, arity_};
+  }
+
+  // Stores `row` unless an equal row is already present; true when new.
+  bool InsertRow(std::span<const Value> row, std::uint64_t& probes) {
+    CheckRefRange(rows());
+    bool inserted = row_ids_.Upsert(
+        TupleHash::Of(row),
+        [&](std::uint32_t r) {
+          return std::equal(row.begin(), row.end(),
+                            values_.begin() + r * arity_);
+        },
+        probes).second;
+    if (inserted) values_.insert(values_.end(), row.begin(), row.end());
+    return inserted;
+  }
+
+  // Folds the newest row into its group, upserting the group.
+  void AccumulateNewest(std::uint64_t key_hash, AggKind kind,
+                        std::size_t agg_idx, std::uint64_t& probes) {
+    const std::uint32_t r = static_cast<std::uint32_t>(rows() - 1);
+    std::span<const Value> newest = row(r);
+    auto [group, inserted] = group_ids_.Upsert(
+        key_hash,
+        [&](std::uint32_t g) {
+          return std::equal(newest.begin(), newest.begin() + key_n_,
+                            values_.begin() + first_row_[g] * arity_);
+        },
+        probes);
+    if (inserted) {
+      first_row_.push_back(r);
+      accs_.emplace_back();
+    }
+    accs_[group].Add(kind, newest, agg_idx);
+  }
+
+  // Appends key + aggregate of every group whose aggregate passes `keep`.
+  void Emit(AggKind kind, const std::function<bool(const Value&)>& keep,
+            std::vector<Tuple>& out) const {
+    for (std::size_t g = 0; g < accs_.size(); ++g) {
+      Value v = accs_[g].Result(kind);
+      if (keep != nullptr && !keep(v)) continue;
+      std::span<const Value> first = row(first_row_[g]);
+      Tuple t(first.begin(), first.begin() + key_n_);
+      t.push_back(v);
+      out.push_back(std::move(t));
+    }
+  }
+
+ private:
+  std::size_t arity_;
+  std::size_t key_n_;
+  std::vector<Value> values_;            // distinct rows, arity-strided
+  FlatIdTable row_ids_;                  // full-row hash -> row id
+  FlatIdTable group_ids_;                // key hash -> group id
+  std::vector<std::uint32_t> first_row_;  // group id -> its first row
+  std::vector<AggAccumulator> accs_;      // group id -> aggregate
+};
+
 SpillGroupSink::SpillGroupSink(Schema schema, std::size_t key_columns,
                                AggKind kind, const std::string& agg_column,
                                std::string output_column,
                                std::function<Status(const Tuple&)> row_check,
-                               SpillEnv& env, QueryContext* ctx,
+                               SpillEnv* env, QueryContext* ctx,
                                OpMetrics* metrics)
-    : schema_(std::move(schema)),
+    : arity_(schema.arity()),
+      key_n_(key_columns),
       kind_(kind),
-      agg_column_(agg_column),
-      output_column_(std::move(output_column)),
       row_check_(std::move(row_check)),
       env_(env),
       ctx_(ctx),
-      metrics_(metrics) {
-  key_idx_.reserve(key_columns);
-  key_names_.reserve(key_columns);
-  for (std::size_t i = 0; i < key_columns; ++i) {
-    key_idx_.push_back(i);
-    key_names_.push_back(schema_.column(i));
+      metrics_(metrics),
+      table_(std::make_unique<Table>(arity_, key_n_)) {
+  QF_CHECK_MSG(key_n_ <= arity_, "group key wider than the row");
+  if (kind_ != AggKind::kCount) agg_idx_ = schema.IndexOfOrDie(agg_column);
+  for (std::size_t i = 0; i < key_n_; ++i) {
+    out_columns_.push_back(schema.column(i));
   }
-  writers_ = MakeWriters(env_);
+  out_columns_.push_back(std::move(output_column));
 }
 
-SpillGroupSink::~SpillGroupSink() = default;
+SpillGroupSink::~SpillGroupSink() {
+  if (ctx_ != nullptr) ctx_->Release(charged_);
+}
 
-Status SpillGroupSink::Push(const Tuple& row) {
+std::uint64_t SpillGroupSink::KeyHash(std::span<const Value> row) const {
+  // The key is the row's leading prefix: this is KeyCols::Hash over
+  // columns 0..key_n-1, so in-memory and partition hashes agree.
+  return TupleHash::Of(row.first(key_n_));
+}
+
+Status SpillGroupSink::AddToTable(Table& table, std::span<const Value> row,
+                                  std::uint64_t key_hash) {
+  if (!table.InsertRow(row, probes_)) return Status::Ok();
+  if (row_check_ != nullptr) {
+    check_row_.assign(row.begin(), row.end());
+    if (Status s = row_check_(check_row_); !s.ok()) return s;
+  }
+  table.AccumulateNewest(key_hash, kind_, agg_idx_, probes_);
+  return Status::Ok();
+}
+
+Status SpillGroupSink::Push(std::span<const Value> row) {
   if (!status_.ok()) return status_;
-  if (pushed_rows_ == 0) {
-    env_.stats.activations.fetch_add(1, std::memory_order_relaxed);
-  }
+  QF_CHECK_MSG(row.size() == arity_, "pushed row arity mismatch");
   if (Status s = PollCtx(ctx_, ++pushed_rows_); !s.ok()) return status_ = s;
-  // Group-key hash: the key is the leading prefix of the row, so this is
-  // exactly KeyCols(key_idx_).Hash(row) without the indirection.
-  std::size_t h = key_idx_.size();
-  for (std::size_t i = 0; i < key_idx_.size(); ++i) {
-    h = TupleHash::HashCombineValue(h, row[i]);
+  const std::uint64_t key_hash = KeyHash(row);
+  if (table_ == nullptr) return status_ = WriteRecord(row, key_hash);
+  const std::size_t before = table_->rows();
+  const std::size_t groups_before = table_->groups();
+  if (Status s = AddToTable(*table_, row, key_hash); !s.ok()) {
+    // A failed row check is the statement's answer, reported by Finish.
+    if (check_status_.ok()) check_status_ = s;
+    return Status::Ok();
   }
-  EncodeRecord(scratch_, h, nullptr, row);
-  if (Status s = writers_[PartitionOf(h, 0, env_.fanout)]->Add(scratch_);
-      !s.ok()) {
-    return status_ = s;
+  uncharged_groups_ += table_->groups() - groups_before;
+  if (table_->rows() != before &&
+      ++uncharged_ == QueryContext::kPollStride) {
+    return status_ = ChargePoint();
   }
   return Status::Ok();
 }
 
-Status SpillGroupSink::ProcessPartition(const std::string& path,
-                                        std::uint64_t records,
-                                        std::size_t level, Relation& out) {
-  const std::size_t arity = schema_.arity();
-  const std::size_t row_bytes = ApproxTupleBytes(arity);
-  if (ShouldRecurse(ctx_, env_, level, records * row_bytes)) {
+// Charges the rows and groups added since the last charge point — or,
+// when the spill rule fires for them, moves the whole state to disk
+// instead.
+Status SpillGroupSink::ChargePoint() {
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(uncharged_) * ApproxTupleBytes(arity_) +
+      static_cast<std::uint64_t>(uncharged_groups_) * kGroupBytes;
+  uncharged_ = 0;
+  uncharged_groups_ = 0;
+  if (ctx_ == nullptr) return Status::Ok();
+  if (env_ != nullptr && SpillWanted(ctx_, bytes)) return Spill();
+  if (!ctx_->Charge(bytes)) return ctx_->Check();
+  charged_ += bytes;
+  mem_bytes_ += bytes;
+  return Status::Ok();
+}
+
+Status SpillGroupSink::Spill() {
+  env_->stats.activations.fetch_add(1, std::memory_order_relaxed);
+  writers_ = MakeWriters(*env_);
+  std::unique_ptr<Table> table = std::move(table_);
+  for (std::size_t r = 0; r < table->rows(); ++r) {
+    if (Status s = PollCtx(ctx_, r + 1); !s.ok()) return s;
+    std::span<const Value> row = table->row(r);
+    if (Status s = WriteRecord(row, KeyHash(row)); !s.ok()) return s;
+  }
+  ctx_->Release(charged_);
+  charged_ = 0;
+  return Status::Ok();
+}
+
+Status SpillGroupSink::WriteRecord(std::span<const Value> row,
+                                   std::uint64_t key_hash) {
+  EncodeRecord(scratch_, key_hash, row);
+  return writers_[PartitionOf(key_hash, 0, env_->fanout)]->Add(scratch_);
+}
+
+Status SpillGroupSink::ProcessPartition(
+    const std::string& path, std::uint64_t records, std::size_t level,
+    const std::function<bool(const Value&)>& keep, std::vector<Tuple>& out) {
+  // Every record may be a new row of a new group.
+  const std::size_t row_bytes = ApproxTupleBytes(arity_);
+  if (ShouldRecurse(ctx_, *env_, level,
+                    records * (row_bytes + kGroupBytes))) {
     std::vector<std::unique_ptr<SpillWriter>> subs;
-    if (Status s = Repartition(env_, path, level + 1, subs, ctx_); !s.ok()) {
+    if (Status s = Repartition(*env_, path, level + 1, subs, ctx_); !s.ok()) {
       return s;
     }
     for (auto& sub : subs) {
       if (sub->records() == 0) continue;
-      if (Status s =
-              ProcessPartition(sub->path(), sub->records(), level + 1, out);
+      if (Status s = ProcessPartition(sub->path(), sub->records(), level + 1,
+                                      keep, out);
           !s.ok()) {
         return s;
       }
@@ -419,526 +479,80 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
     return Status::Ok();  // subs destruct here -> sub-files removed
   }
 
-  // Leaf: stream-load with full-row dedup (set semantics). A group's rows
-  // all land in this partition and arrive in global push order, so the
-  // per-group sequence of distinct rows — and with it the accumulation
-  // order — matches the in-memory path exactly.
-  CheckRefRange(records);
-  Relation distinct{schema_};
-  FlatTupleSet seen;
-  TupleHash full_hash;
+  // Leaf: stream the partition through a fresh in-memory table. A group's
+  // rows all land here, in push order, so its accumulation order matches
+  // the unspilled sink's exactly.
+  Table table(arity_, key_n_);
   OpGovernor gov(ctx_, row_bytes);
-  SpillReader reader(*env_.vfs, path, &env_);
+  OpGovernor group_gov(ctx_, kGroupBytes);
+  SpillReader reader(*env_->vfs, path, env_);
   std::string_view rec;
   Tuple row;
   std::size_t i = 0;
   while (reader.Next(&rec)) {
     if (Status s = PollCtx(ctx_, ++i); !s.ok()) return s;
     std::uint64_t h = 0;
-    if (Status s = DecodeRecord(rec, arity, &h, nullptr, &row); !s.ok()) {
-      return s;
-    }
-    bool fresh = seen.Insert(
-        static_cast<std::uint32_t>(distinct.size()), full_hash(row),
-        [&](std::uint32_t prev) { return distinct.rows()[prev] == row; },
-        probes_);
-    if (fresh) {
-      if (row_check_ != nullptr) {
-        if (Status s = row_check_(row); !s.ok()) return s;
-      }
-      if (!gov.Admit()) return ctx_->Check();
-      distinct.Add(row);
+    if (Status s = DecodeRecord(rec, arity_, &h, &row); !s.ok()) return s;
+    const std::size_t before = table.rows();
+    const std::size_t groups_before = table.groups();
+    if (Status s = AddToTable(table, row, h); !s.ok()) return s;
+    if (table.rows() != before && !gov.Admit()) return ctx_->Check();
+    if (table.groups() != groups_before && !group_gov.Admit()) {
+      return ctx_->Check();
     }
   }
   if (!reader.status().ok()) return reader.status();
-  if (!gov.Flush() && ctx_ != nullptr) return ctx_->Check();
-  answer_rows_ += distinct.size();
-
-  // Serial in-memory kernel per partition: per-group results are bit-
-  // identical to grouping the whole answer set at once.
-  Relation grouped = GroupAggregate(distinct, key_names_, kind_, agg_column_,
-                                    output_column_, nullptr, ctx_);
-  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->Check();
-  for (Tuple& t : grouped.mutable_rows()) out.Add(std::move(t));
-  if (ctx_ != nullptr) ctx_->Release(gov.total_bytes());  // drop the answers
+  if ((!gov.Flush() || !group_gov.Flush()) && ctx_ != nullptr) {
+    return ctx_->Check();
+  }
+  const std::uint64_t table_bytes =
+      gov.total_bytes() + group_gov.total_bytes();
+  answer_rows_ += table.rows();
+  groups_ += table.groups();
+  mem_bytes_ += table_bytes;
+  table.Emit(kind_, keep, out);
+  if (ctx_ != nullptr) ctx_->Release(table_bytes);  // drop the table
   return Status::Ok();
 }
 
-Result<Relation> SpillGroupSink::Finish() {
+Result<Relation> SpillGroupSink::Finish(
+    const std::function<bool(const Value&)>& keep) {
   if (!status_.ok()) return status_;
-  if (Status s = FinishWriters(writers_); !s.ok()) return s;
-  std::vector<std::string> out_columns = key_names_;
-  out_columns.push_back(output_column_);
-  Relation out{Schema(std::move(out_columns))};
-  for (auto& w : writers_) {
-    if (w->records() == 0) continue;
-    if (Status s = ProcessPartition(w->path(), w->records(), 0, out);
-        !s.ok()) {
-      return s;
-    }
+  if (!check_status_.ok()) return check_status_;
+  if (table_ != nullptr && uncharged_ > 0) {
+    if (Status s = ChargePoint(); !s.ok()) return status_ = s;
   }
-  // Group keys are unique across partitions, so one global sort yields
-  // the same canonical order as the in-memory kernel's.
-  out.SortRows();
-  if (metrics_ != nullptr) {
-    metrics_->rows_in += pushed_rows_;
-    metrics_->rows_out += out.size();
-    metrics_->tuples_probed += probes_;
-    metrics_->mem_bytes +=
-        static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillNaturalJoin.
-
-namespace {
-
-// One side of a leaf partition, loaded back into memory.
-struct LoadedSide {
-  std::vector<std::uint64_t> hashes;
-  std::vector<std::uint64_t> tags;  // empty when the side is untagged
   std::vector<Tuple> rows;
-};
-
-Status LoadSide(SpillEnv& env, const std::string& path, std::size_t arity,
-                bool tagged, LoadedSide* side, QueryContext* ctx) {
-  SpillReader reader(*env.vfs, path, &env);
-  std::string_view rec;
-  std::size_t i = 0;
-  while (reader.Next(&rec)) {
-    if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-    std::uint64_t h = 0, tag = 0;
-    Tuple row;
-    if (Status s =
-            DecodeRecord(rec, arity, &h, tagged ? &tag : nullptr, &row);
-        !s.ok()) {
-      return s;
-    }
-    side->hashes.push_back(h);
-    if (tagged) side->tags.push_back(tag);
-    side->rows.push_back(std::move(row));
-  }
-  return reader.status();
-}
-
-// Joins one (a-partition, b-partition) file pair, appending TaggedRows in
-// ascending a-tag order; recurses when the pair would not fit in budget.
-struct PartitionJoiner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  std::size_t a_arity;
-  std::size_t b_arity;
-  const KeyCols& a_key;  // unused for hashing here (hashes are stored)
-  const KeyCols& b_key;
-  const std::vector<std::size_t>& b_rest;
-  std::uint64_t probes = 0;
-  std::uint64_t mem_bytes = 0;
-
-  Status JoinPair(const std::string& a_path, std::uint64_t a_records,
-                  const std::string& b_path, std::uint64_t b_records,
-                  std::size_t level, std::vector<TaggedRow>& out) {
-    if (a_records == 0 || b_records == 0) return Status::Ok();
-    std::uint64_t load_bytes = a_records * ApproxTupleBytes(a_arity) +
-                               b_records * ApproxTupleBytes(b_arity);
-    if (ShouldRecurse(ctx, env, level, load_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> suba, subb;
-      if (Status s = Repartition(env, a_path, level + 1, suba, ctx); !s.ok()) {
-        return s;
-      }
-      if (Status s = Repartition(env, b_path, level + 1, subb, ctx); !s.ok()) {
-        return s;
-      }
-      std::vector<std::vector<TaggedRow>> sub_out(env.fanout);
-      for (std::size_t q = 0; q < env.fanout; ++q) {
-        if (Status s = JoinPair(suba[q]->path(), suba[q]->records(),
-                                subb[q]->path(), subb[q]->records(), level + 1,
-                                sub_out[q]);
-            !s.ok()) {
-          return s;
-        }
-      }
-      MergeByTag(sub_out, out);
-      return Status::Ok();
-    }
-
-    LoadedSide a, b;
-    if (ctx != nullptr && !ctx->Charge(load_bytes)) return ctx->Check();
-    if (Status s = LoadSide(env, a_path, a_arity, /*tagged=*/true, &a, ctx);
-        !s.ok()) {
-      return s;
-    }
-    if (Status s = LoadSide(env, b_path, b_arity, /*tagged=*/false, &b, ctx);
-        !s.ok()) {
-      return s;
-    }
-    CheckRefRange(b.rows.size());
-    // Build over b with the stored key hashes (a_key.Hash == b_key.Hash
-    // for matching keys, so probe hashes agree); probe a in file order,
-    // which is its global input order restricted to this partition.
-    FlatKeyIndex index;
-    index.Reserve(b.rows.size());
-    for (std::size_t r = 0; r < b.rows.size(); ++r) {
-      index.AddRow(
-          static_cast<std::uint32_t>(r), b.hashes[r],
-          [&](std::uint32_t prev) {
-            return b_key.Eq(b.rows[r], b.rows[prev]);
-          },
-          probes);
-    }
-    index.Finalize();
-    const std::size_t out_arity = a_arity + b_rest.size();
-    OpGovernor gov(ctx, ApproxTupleBytes(out_arity));
-    bool live = true;
-    for (std::size_t r = 0; live && r < a.rows.size(); ++r) {
-      if (!gov.TickInput()) break;
-      const Tuple& ta = a.rows[r];
-      FlatKeyIndex::Span span = index.Probe(
-          a.hashes[r],
-          [&](std::uint32_t rb) {
-            return a_key.EqAcross(ta, b_key, b.rows[rb]);
-          },
-          probes);
-      for (const std::uint32_t* p = span.begin; p != span.end; ++p) {
-        if (!gov.Admit()) {
-          live = false;
-          break;
-        }
-        Tuple combined = ta;
-        const Tuple& tb = b.rows[*p];
-        for (std::size_t j : b_rest) combined.push_back(tb[j]);
-        out.push_back(TaggedRow{a.tags[r], std::move(combined)});
+  if (table_ != nullptr) {
+    answer_rows_ = table_->rows();
+    groups_ = table_->groups();
+    table_->Emit(kind_, keep, rows);
+    table_.reset();
+    if (ctx_ != nullptr) ctx_->Release(charged_);
+    charged_ = 0;
+  } else {
+    if (Status s = FinishWriters(writers_); !s.ok()) return status_ = s;
+    for (auto& w : writers_) {
+      if (w->records() == 0) continue;
+      if (Status s = ProcessPartition(w->path(), w->records(), 0, keep, rows);
+          !s.ok()) {
+        return status_ = s;
       }
     }
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    mem_bytes += gov.total_bytes();
-    if (ctx != nullptr) {
-      ctx->Release(load_bytes);
-      return ctx->Check();
-    }
-    return Status::Ok();
   }
-};
-
-}  // namespace
-
-Result<Relation> SpillNaturalJoin(Relation a, Relation b, SpillEnv& env,
-                                  OpMetrics* metrics, QueryContext* ctx,
-                                  bool release_inputs) {
-  JoinLayout layout = ComputeJoinLayout(a, b);
-  std::uint64_t input_bytes =
-      static_cast<std::uint64_t>(a.size()) * ApproxTupleBytes(a.arity()) +
-      static_cast<std::uint64_t>(b.size()) * ApproxTupleBytes(b.arity());
-  if (layout.a_key.empty() || a.empty() || b.empty()) {
-    // Cross products and empty inputs have nothing to partition by.
-    Relation out = NaturalJoin(a, b, metrics, ctx);
-    a = Relation();
-    b = Relation();
-    if (ctx != nullptr) {
-      if (release_inputs) ctx->Release(input_bytes);
-      if (Status s = ctx->Check(); !s.ok()) return s;
-    }
-    return out;
-  }
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a_arity = a.arity();
-  const std::size_t b_arity = b.arity();
-  const std::uint64_t a_rows = a.size();
-  const std::uint64_t b_rows = b.size();
-  KeyCols a_key(layout.a_key, a_arity);
-  KeyCols b_key(layout.b_key, b_arity);
-  Schema out_schema = JoinedSchema(a, b, layout);
-
-  // Phase 1: partition both inputs to disk...
-  std::vector<std::unique_ptr<SpillWriter>> pa = MakeWriters(env);
-  std::vector<std::unique_ptr<SpillWriter>> pb = MakeWriters(env);
-  std::string scratch;
-  for (std::size_t r = 0; r < a.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = a.rows()[r];
-    std::uint64_t h = a_key.Hash(t);
-    std::uint64_t tag = r;
-    EncodeRecord(scratch, h, &tag, t);
-    if (Status s = pa[PartitionOf(h, 0, env.fanout)]->Add(scratch); !s.ok()) {
-      return s;
-    }
-  }
-  for (std::size_t r = 0; r < b.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = b.rows()[r];
-    std::uint64_t h = b_key.Hash(t);
-    EncodeRecord(scratch, h, nullptr, t);
-    if (Status s = pb[PartitionOf(h, 0, env.fanout)]->Add(scratch); !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(pa); !s.ok()) return s;
-  if (Status s = FinishWriters(pb); !s.ok()) return s;
-
-  // ... and drop the in-memory copies: this is the step that frees the
-  // budget the partition joins will run in.
-  a = Relation();
-  b = Relation();
-  if (ctx != nullptr && release_inputs) ctx->Release(input_bytes);
-
-  // Phase 2: join each partition pair; restore probe order by tag merge.
-  PartitionJoiner joiner{env,   ctx,   a_arity,       b_arity,
-                         a_key, b_key, layout.b_rest};
-  std::vector<std::vector<TaggedRow>> parts(env.fanout);
-  for (std::size_t p = 0; p < env.fanout; ++p) {
-    if (Status s = joiner.JoinPair(pa[p]->path(), pa[p]->records(),
-                                   pb[p]->path(), pb[p]->records(), 0,
-                                   parts[p]);
-        !s.ok()) {
-      return s;
-    }
-  }
-  std::vector<TaggedRow> merged;
-  MergeByTag(parts, merged);
-  Relation out(std::move(out_schema));
-  out.mutable_rows().reserve(merged.size());
-  for (TaggedRow& t : merged) out.mutable_rows().push_back(std::move(t.row));
-  if (metrics != nullptr) {
-    metrics->rows_in += a_rows;
-    metrics->rows_in_right += b_rows;
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += joiner.probes;
-    metrics->mem_bytes += joiner.mem_bytes;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillProject.
-
-namespace {
-
-struct ProjectPartitioner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  std::size_t arity;  // of the projected rows
-  std::uint64_t probes = 0;
-  std::uint64_t mem_bytes = 0;
-
-  Status Process(const std::string& path, std::uint64_t records,
-                 std::size_t level, std::vector<TaggedRow>& out) {
-    if (records == 0) return Status::Ok();
-    const std::size_t row_bytes = ApproxTupleBytes(arity);
-    if (ShouldRecurse(ctx, env, level, records * row_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> subs;
-      if (Status s = Repartition(env, path, level + 1, subs, ctx); !s.ok()) {
-        return s;
-      }
-      std::vector<std::vector<TaggedRow>> sub_out(env.fanout);
-      for (std::size_t q = 0; q < env.fanout; ++q) {
-        if (Status s = Process(subs[q]->path(), subs[q]->records(), level + 1,
-                               sub_out[q]);
-            !s.ok()) {
-          return s;
-        }
-      }
-      MergeByTag(sub_out, out);
-      return Status::Ok();
-    }
-    // Leaf: stream with dedup. Records arrive in ascending tag order, and
-    // every occurrence of a projected value has the same hash — so it
-    // lives in this partition, and keeping the first occurrence here *is*
-    // keeping the globally first one.
-    CheckRefRange(records);
-    FlatTupleSet seen;
-    OpGovernor gov(ctx, row_bytes);
-    SpillReader reader(*env.vfs, path, &env);
-    std::string_view rec;
-    Tuple row;
-    std::size_t base = out.size();
-    std::size_t i = 0;
-    while (reader.Next(&rec)) {
-      if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-      std::uint64_t h = 0, tag = 0;
-      if (Status s = DecodeRecord(rec, arity, &h, &tag, &row); !s.ok()) {
-        return s;
-      }
-      bool fresh = seen.Insert(
-          static_cast<std::uint32_t>(out.size() - base), h,
-          [&](std::uint32_t prev) { return out[base + prev].row == row; },
-          probes);
-      if (fresh) {
-        if (!gov.Admit()) return ctx->Check();
-        out.push_back(TaggedRow{tag, std::move(row)});
-      }
-    }
-    if (!reader.status().ok()) return reader.status();
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    mem_bytes += gov.total_bytes();
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-Result<Relation> SpillProject(const Relation& rel,
-                              const std::vector<std::string>& columns,
-                              SpillEnv& env, OpMetrics* metrics,
-                              QueryContext* ctx) {
-  std::vector<std::size_t> indices;
-  indices.reserve(columns.size());
-  for (const std::string& c : columns) {
-    indices.push_back(rel.schema().IndexOfOrDie(c));
-  }
-  KeyCols key(indices, rel.arity());
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<std::unique_ptr<SpillWriter>> writers = MakeWriters(env);
-  std::string scratch;
-  Tuple projected;
-  for (std::size_t r = 0; r < rel.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = rel.rows()[r];
-    std::uint64_t h = key.Hash(t);  // == TupleHash of the projected tuple
-    projected = key.Extract(t);
-    std::uint64_t tag = r;
-    EncodeRecord(scratch, h, &tag, projected);
-    if (Status s = writers[PartitionOf(h, 0, env.fanout)]->Add(scratch);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(writers); !s.ok()) return s;
-
-  ProjectPartitioner part{env, ctx, columns.size()};
-  std::vector<std::vector<TaggedRow>> parts(env.fanout);
-  for (std::size_t p = 0; p < env.fanout; ++p) {
-    if (Status s = part.Process(writers[p]->path(), writers[p]->records(), 0,
-                                parts[p]);
-        !s.ok()) {
-      return s;
-    }
-  }
-  std::vector<TaggedRow> merged;
-  MergeByTag(parts, merged);
-  Relation out{Schema(columns)};
-  out.mutable_rows().reserve(merged.size());
-  for (TaggedRow& t : merged) out.mutable_rows().push_back(std::move(t.row));
-  if (metrics != nullptr) {
-    metrics->rows_in += rel.size();
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += part.probes;
-    metrics->mem_bytes += part.mem_bytes;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillGroupAggregate.
-
-namespace {
-
-struct GroupPartitioner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  const Relation& rel;  // for the schema only
-  const std::vector<std::string>& group_columns;
-  AggKind kind;
-  const std::string& agg_column;
-  const std::string& output_column;
-
-  Status Process(const std::string& path, std::uint64_t records,
-                 std::size_t level, Relation& out) {
-    if (records == 0) return Status::Ok();
-    const std::size_t arity = rel.arity();
-    const std::size_t row_bytes = ApproxTupleBytes(arity);
-    if (ShouldRecurse(ctx, env, level, records * row_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> subs;
-      if (Status s = Repartition(env, path, level + 1, subs, ctx); !s.ok()) {
-        return s;
-      }
-      for (auto& sub : subs) {
-        if (Status s = Process(sub->path(), sub->records(), level + 1, out);
-            !s.ok()) {
-          return s;
-        }
-      }
-      return Status::Ok();
-    }
-    // Leaf: load the partition and hand it to the serial in-memory
-    // kernel. Rows arrive in global input order restricted to this
-    // partition, and each group is whole here, so per-group accumulation
-    // order — float SUM association included — matches the serial kernel
-    // run on the whole input.
-    Relation part(rel.schema());
-    OpGovernor gov(ctx, row_bytes);
-    SpillReader reader(*env.vfs, path, &env);
-    std::string_view rec;
-    Tuple row;
-    std::size_t i = 0;
-    while (reader.Next(&rec)) {
-      if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-      std::uint64_t h = 0;
-      if (Status s = DecodeRecord(rec, arity, &h, nullptr, &row); !s.ok()) {
-        return s;
-      }
-      if (!gov.Admit()) return ctx->Check();
-      part.Add(std::move(row));
-      row = Tuple();
-    }
-    if (!reader.status().ok()) return reader.status();
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    Relation grouped = GroupAggregate(part, group_columns, kind, agg_column,
-                                      output_column, nullptr, ctx);
-    if (ctx != nullptr && !ctx->ok()) return ctx->Check();
-    for (Tuple& t : grouped.mutable_rows()) out.Add(std::move(t));
-    if (ctx != nullptr) ctx->Release(gov.total_bytes());
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-Result<Relation> SpillGroupAggregate(
-    const Relation& rel, const std::vector<std::string>& group_columns,
-    AggKind kind, const std::string& agg_column,
-    const std::string& output_column, SpillEnv& env, OpMetrics* metrics,
-    QueryContext* ctx) {
-  std::vector<std::size_t> group_idx;
-  group_idx.reserve(group_columns.size());
-  for (const std::string& c : group_columns) {
-    group_idx.push_back(rel.schema().IndexOfOrDie(c));
-  }
-  KeyCols key(group_idx, rel.arity());
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<std::unique_ptr<SpillWriter>> writers = MakeWriters(env);
-  std::string scratch;
-  for (std::size_t r = 0; r < rel.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = rel.rows()[r];
-    std::uint64_t h = key.Hash(t);
-    EncodeRecord(scratch, h, nullptr, t);
-    if (Status s = writers[PartitionOf(h, 0, env.fanout)]->Add(scratch);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(writers); !s.ok()) return s;
-
-  std::vector<std::string> out_columns = group_columns;
-  out_columns.push_back(output_column);
-  Relation out{Schema(std::move(out_columns))};
-  GroupPartitioner part{env,  ctx,        rel,          group_columns,
-                        kind, agg_column, output_column};
-  for (auto& w : writers) {
-    if (Status s = part.Process(w->path(), w->records(), 0, out); !s.ok()) {
-      return s;
-    }
-  }
+  // Group keys are unique (across partitions too), so one sort yields the
+  // canonical order of the in-memory kernel.
+  Relation out{Schema(out_columns_)};
+  out.mutable_rows() = std::move(rows);
   out.SortRows();
-  if (metrics != nullptr) {
-    metrics->rows_in += rel.size();
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += rel.size();  // one upsert per input row
-    metrics->mem_bytes +=
-        static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
+  std::uint64_t out_bytes =
+      static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
+  if (ctx_ != nullptr && !ctx_->Charge(out_bytes)) return ctx_->Check();
+  if (metrics_ != nullptr) {
+    metrics_->rows_in += answer_rows_;
+    metrics_->rows_out += groups_;
+    metrics_->tuples_probed += probes_;
+    metrics_->mem_bytes += mem_bytes_ + out_bytes;
   }
   return out;
 }

@@ -1,28 +1,25 @@
-// Out-of-core execution: grace-hash spill variants of the flat-hash
-// kernels, plus the streaming group-by sink the flock evaluator fuses
-// into its final join.
+// Out-of-core execution: checksummed spill files and the flock
+// evaluator's GROUP BY sink, which starts in memory and spills to
+// grace-hash partitions by itself when the budget runs short.
 //
-// The problem (ROADMAP item 3): every relation lives wholly in RAM, so
-// the PR 4 governor's only answer to a large intermediate is a hard
-// RESOURCE_EXHAUSTED. Grace hashing turns that cliff into graceful
-// degradation: when the accountant nears budget, an operator partitions
-// its inputs to checksummed temp files by key hash, drops the in-memory
-// copies, and processes one partition at a time — recursing with a
-// level-salted hash when a partition is itself too big.
+// The problem: every relation lives wholly in RAM, so the governor's only
+// answer to a large intermediate is a hard RESOURCE_EXHAUSTED. Grace
+// hashing turns that cliff into graceful degradation: when the accountant
+// nears budget, the sink partitions its rows to checksummed temp files by
+// group-key hash, drops its in-memory state, and later processes one
+// partition at a time — recursing with a level-salted hash when a
+// partition is itself too big.
 //
 // Determinism contract (DESIGN.md §14): spilling never changes results.
 //   * Rows with equal keys always land in the same partition, and records
-//     are written (and read back) in input order, so per-partition row
-//     order is the global order restricted to the partition.
-//   * SpillNaturalJoin / SpillProject tag rows with their input index and
-//     k-way merge per-partition outputs by that tag, restoring exactly
-//     the row order of NaturalJoin / Project.
-//   * SpillGroupAggregate / SpillGroupSink keep each group whole inside
-//     one partition, so per-group accumulation order equals the serial
-//     GroupAggregate's, bit for bit (including float SUM association).
-//   * Activation (SpillWanted) depends only on accounted bytes at an
-//     operator boundary, which the determinism contract already makes
-//     thread-invariant — so the decision itself is thread-invariant.
+//     are written (and read back) in push order, so per-partition row
+//     order is the push order restricted to the partition. Each group is
+//     whole inside one partition, so its distinct rows accumulate in
+//     first-occurrence order — exactly as in memory, bit for bit
+//     (including float SUM association).
+//   * Activation (SpillWanted) depends only on accounted bytes at the
+//     sink's charge points, and the producer pushes in a thread-invariant
+//     order — so the decision itself is thread-invariant.
 //
 // Fault model: spill files are transient (never fsynced; a crash simply
 // loses them). Every block is CRC32C-framed, so torn or bit-flipped spill
@@ -42,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -175,110 +173,108 @@ class SpillReader {
 };
 
 // ---------------------------------------------------------------------
-// Streaming sink: the fused final-join path.
+// Streaming sinks: the fused final join's consumers.
 
-// Receives output rows one at a time from a streaming producer (the CQ
-// evaluator's final join). `engaged` is set by the producer when it
-// actually took the streaming path, so the caller knows whether Finish()
-// holds the result or the conventional materialized path ran.
+// Receives projected rows one at a time from a streaming producer — the
+// CQ evaluator's fused final join (flocks/cq_eval.h), which pushes every
+// answer row it produces, duplicates included, in an order that is the
+// same at every thread count.
 class TupleSink {
  public:
+  TupleSink() = default;
+  TupleSink(const TupleSink&) = delete;
+  TupleSink& operator=(const TupleSink&) = delete;
   virtual ~TupleSink() = default;
-  virtual Status Push(const Tuple& row) = 0;
-  bool engaged = false;
+
+  virtual Status Push(std::span<const Value> row) = 0;
+  Status Push(const Tuple& row) { return Push(std::span<const Value>(row)); }
 };
 
-// Grace-hash GROUP BY sink for flock evaluation: rows pushed are answer
-// rows (group key in the leading `key_columns` columns, possibly with
-// duplicates); Finish() partitions having already spilled every row,
-// dedups full rows per partition (set semantics), applies an optional
-// per-distinct-row check (the SUM nonnegativity guard), aggregates each
-// partition with the serial GroupAggregate kernel, and returns the
-// concatenated, sorted grouped relation — bit-identical to
-// GroupAggregate(Distinct(pushed rows), ...).
+// The flock evaluator's GROUP BY + FILTER sink. Pushed rows are answer
+// rows: the group key is the leading `key_columns` columns. The sink
+// dedups full rows (set semantics) and upserts each new row's group:
+//   * In memory, distinct rows are kept once each, flat and arity-strided
+//     in first-occurrence order; a group is named by its first row, so
+//     keys are never copied. Every distinct row is charged
+//     ApproxTupleBytes(arity) to `ctx`, and every group the bytes of its
+//     table slot, first-row id and accumulator.
+//   * At each charge point (every QueryContext::kPollStride new rows, and
+//     in Finish), if SpillWanted fires the sink writes its distinct rows,
+//     in order, to grace-hash partitions by key hash, frees its state, and
+//     partitions every later row as it arrives; Finish dedups and groups
+//     one partition at a time.
+// Either way the result equals GroupAggregate(Distinct(pushed rows), ...)
+// restricted to the groups that pass the filter, bit for bit.
 class SpillGroupSink : public TupleSink {
  public:
-  // `schema`: schema of the pushed rows; the leading `key_columns`
-  // columns form the group key. `row_check` (nullable) runs once per
-  // distinct row, before aggregation; its error aborts Finish.
+  // `schema`: schema of the pushed rows. `env` (nullable) is where the
+  // sink may spill; without one, or without a hard budget on `ctx`, it
+  // never spills and an over-budget state is the context's
+  // RESOURCE_EXHAUSTED. `row_check` (nullable) runs once per distinct row
+  // before the row is aggregated; its first error is Finish's result.
   SpillGroupSink(Schema schema, std::size_t key_columns, AggKind kind,
                  const std::string& agg_column, std::string output_column,
                  std::function<Status(const Tuple&)> row_check,
-                 SpillEnv& env, QueryContext* ctx, OpMetrics* metrics);
+                 SpillEnv* env, QueryContext* ctx, OpMetrics* metrics);
   ~SpillGroupSink() override;
 
-  Status Push(const Tuple& row) override;
+  using TupleSink::Push;
+  Status Push(std::span<const Value> row) override;
 
-  // Drains the partitions and returns the grouped relation (key columns +
-  // output column, sorted). Call at most once.
-  Result<Relation> Finish();
+  // Returns the key columns plus output column of every group whose
+  // aggregate passes `keep` (every group when `keep` is null), in sorted
+  // row order. Only passing groups are extracted. Call at most once.
+  Result<Relation> Finish(
+      const std::function<bool(const Value&)>& keep = nullptr);
 
-  // Re-points the metrics node Finish() fills — the caller only creates
-  // the node once it knows the sink actually engaged.
+  // Re-points the metrics node Finish() fills (the caller's group_by).
   void set_metrics(OpMetrics* metrics) { metrics_ = metrics; }
 
-  // Distinct answer rows seen across all partitions (valid after Finish);
-  // feeds FlockEvalInfo::answer_rows.
+  // Valid after Finish: distinct answer rows (FlockEvalInfo::answer_rows)
+  // and groups before the filter.
   std::uint64_t answer_rows() const { return answer_rows_; }
-  std::uint64_t pushed_rows() const { return pushed_rows_; }
+  std::uint64_t groups() const { return groups_; }
+  // True once the sink has moved its rows to spill partitions.
+  bool spilled() const { return !writers_.empty(); }
 
  private:
-  Status ProcessPartition(const std::string& path, std::uint64_t records,
-                          std::size_t level, Relation& out);
+  class Table;
 
-  Schema schema_;
-  std::vector<std::size_t> key_idx_;
-  std::vector<std::string> key_names_;
+  std::uint64_t KeyHash(std::span<const Value> row) const;
+  Status AddToTable(Table& table, std::span<const Value> row,
+                    std::uint64_t key_hash);
+  Status ChargePoint();
+  Status Spill();
+  Status WriteRecord(std::span<const Value> row, std::uint64_t key_hash);
+  Status ProcessPartition(const std::string& path, std::uint64_t records,
+                          std::size_t level,
+                          const std::function<bool(const Value&)>& keep,
+                          std::vector<Tuple>& out);
+
+  std::size_t arity_;
+  std::size_t key_n_;
   AggKind kind_;
-  std::string agg_column_;
-  std::string output_column_;
+  std::size_t agg_idx_ = 0;
+  std::vector<std::string> out_columns_;
   std::function<Status(const Tuple&)> row_check_;
-  SpillEnv& env_;
+  SpillEnv* env_;
   QueryContext* ctx_;
   OpMetrics* metrics_;
+  std::unique_ptr<Table> table_;  // in-memory state; null once spilled
   std::vector<std::unique_ptr<SpillWriter>> writers_;
+  std::uint64_t charged_ = 0;     // bytes charged for table_
+  std::size_t uncharged_ = 0;     // distinct rows since the last charge
+  std::size_t uncharged_groups_ = 0;  // groups since the last charge
   std::string scratch_;
+  Tuple check_row_;
   std::uint64_t pushed_rows_ = 0;
   std::uint64_t answer_rows_ = 0;
-  std::uint64_t probes_ = 0;  // dedup-set slot probes across partitions
+  std::uint64_t groups_ = 0;
+  std::uint64_t probes_ = 0;  // dedup + group slot probes
+  std::uint64_t mem_bytes_ = 0;
   Status status_;
+  Status check_status_;  // first row_check failure
 };
-
-// ---------------------------------------------------------------------
-// Standalone grace-hash kernels. Each returns exactly the rows, in
-// exactly the order, of its in-memory counterpart in relational/ops.h,
-// and reports the same rows_in/rows_out metrics (tuples_probed counts the
-// per-partition tables, so it may differ from the single-table count —
-// like the serial/parallel split, the decomposition is observable there).
-
-// Grace-hash natural join. Takes its inputs BY VALUE: both are
-// partitioned to disk and freed before any partition is joined — that is
-// the point — and when `release_inputs` is set the kernel Releases their
-// ApproxTupleBytes from `ctx` on the caller's behalf (the caller must
-// then not release them again). Falls back to the in-memory NaturalJoin
-// when the inputs share no column (cross products don't partition).
-Result<Relation> SpillNaturalJoin(Relation a, Relation b, SpillEnv& env,
-                                  OpMetrics* metrics = nullptr,
-                                  QueryContext* ctx = nullptr,
-                                  bool release_inputs = false);
-
-// Grace-hash projection with set-semantics dedup: partitions the
-// projected rows (tagged with their input index) by projected-row hash,
-// dedups per partition, and merges by tag — Project's first-occurrence
-// order, restored exactly.
-Result<Relation> SpillProject(const Relation& rel,
-                              const std::vector<std::string>& columns,
-                              SpillEnv& env, OpMetrics* metrics = nullptr,
-                              QueryContext* ctx = nullptr);
-
-// Grace-hash group-by: partitions rows by group key, aggregates each
-// partition with the serial in-memory kernel, concatenates and sorts.
-// Input must be duplicate-free (same contract as GroupAggregate).
-Result<Relation> SpillGroupAggregate(
-    const Relation& rel, const std::vector<std::string>& group_columns,
-    AggKind kind, const std::string& agg_column,
-    const std::string& output_column, SpillEnv& env,
-    OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
 
 }  // namespace qf
 

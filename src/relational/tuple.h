@@ -4,6 +4,7 @@
 #define QF_RELATIONAL_TUPLE_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,9 +16,12 @@ using Tuple = std::vector<Value>;
 
 // Hashes a whole tuple (order-sensitive).
 struct TupleHash {
-  std::size_t operator()(const Tuple& t) const {
-    std::size_t seed = t.size();
-    for (const Value& v : t) seed = HashCombineValue(seed, v);
+  std::size_t operator()(const Tuple& t) const { return Of(t); }
+  // The same hash over a borrowed row, so rows held flat (arity-strided
+  // value arrays, scratch rows) hash exactly like their Tuple copies.
+  static std::size_t Of(std::span<const Value> row) {
+    std::size_t seed = row.size();
+    for (const Value& v : row) seed = HashCombineValue(seed, v);
     return seed;
   }
   static std::size_t HashCombineValue(std::size_t seed, const Value& v);

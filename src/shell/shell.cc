@@ -782,8 +782,8 @@ Result<Shell::FlockRun> Shell::RunFlock(const std::string& name,
     if (!model.ok()) return model.status();
     PlanContext pctx = MakePlanContext(flock, **model);
     // The DynamicEvaluate preconditions (single disjunct, support filter,
-    // no view predicates); only then do the §4.4 arms enter the pool.
-    const bool dynamic_eligible = extra.empty() &&
+    // no subgoal over a view); only then do the §4.4 arms enter the pool.
+    const bool dynamic_eligible = !FlockReadsOverlay(flock, &extra) &&
                                   flock.query.disjuncts.size() == 1 &&
                                   flock.filter.IsSupportStyle();
     std::vector<BanditArm> arms =

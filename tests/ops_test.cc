@@ -48,6 +48,19 @@ TEST(OpsTest, RenameKeepsRows) {
   EXPECT_TRUE(renamed.Contains({Value(1)}));
 }
 
+TEST(OpsTest, RenameMovesRowsInOrder) {
+  Relation r = MakeR({"A", "B"}, {{Value(3), Value("c")},
+                                  {Value(1), Value("a")},
+                                  {Value(2), Value("b")}});
+  std::vector<Tuple> expected = r.rows();
+  const Value* first_row = r.rows()[0].data();
+  Relation renamed = Rename(std::move(r), {"X", "Y"});
+  EXPECT_EQ(renamed.schema(), Schema({"X", "Y"}));
+  EXPECT_EQ(renamed.rows(), expected);
+  // Moved, not copied: the first row is still the same allocation.
+  EXPECT_EQ(renamed.rows()[0].data(), first_row);
+}
+
 TEST(OpsTest, NaturalJoinOnSharedColumn) {
   Relation a = MakeR({"BID", "Item"}, {{Value(1), Value("beer")},
                                        {Value(1), Value("chips")},
@@ -218,9 +231,8 @@ TEST(OpsTest, ParallelNaturalJoinPreservesSerialRowOrder) {
 }
 
 TEST(OpsTest, SerialGroupAggregateOutputIsSorted) {
-  // Regression: the serial GroupAggregate used to emit rows in hash-table
-  // order; it now sorts like the parallel overload, so the two agree
-  // row-for-row and downstream consumers see a deterministic order.
+  // Regression: GroupAggregate used to emit rows in hash-table order; it
+  // now sorts, so downstream consumers see a deterministic order.
   Relation r = MakeR({"K", "V"}, {{Value("zebra"), Value(1)},
                                   {Value("ant"), Value(2)},
                                   {Value("mule"), Value(3)},
@@ -231,34 +243,25 @@ TEST(OpsTest, SerialGroupAggregateOutputIsSorted) {
   std::vector<Tuple> sorted = rows;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(rows, sorted);
-  // And serial == parallel exactly, for every thread count.
-  for (unsigned threads : {0u, 1u, 2u, 8u}) {
-    Relation parallel =
-        GroupAggregate(r, {"K"}, AggKind::kCount, "", "n", threads);
-    EXPECT_EQ(serial.rows(), parallel.rows()) << "threads=" << threads;
-  }
 }
 
 TEST(OpsTest, GroupAggregateEmptyInputEveryThreadCount) {
   // Regression: empty input must yield an empty relation with the output
   // schema intact (group columns + aggregate column), never a crash or a
-  // phantom row, on the serial path and every parallel thread count.
+  // phantom row. GroupAggregate has one (serial) overload; the flock
+  // evaluator's grouping sink is run at threads {0, 1, 4} by the
+  // fused-pipeline suite.
   Relation empty{Schema({"K", "V"})};
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                        AggKind::kMax}) {
     std::string agg_col = kind == AggKind::kCount ? "" : "V";
-    Relation serial = GroupAggregate(empty, {"K"}, kind, agg_col, "out");
+    OpMetrics m;
+    Relation serial =
+        GroupAggregate(empty, {"K"}, kind, agg_col, "out", &m);
     EXPECT_TRUE(serial.empty());
     EXPECT_EQ(serial.schema(), Schema({"K", "out"}));
-    for (unsigned threads : {0u, 1u, 2u, 8u}) {
-      OpMetrics m;
-      Relation parallel =
-          GroupAggregate(empty, {"K"}, kind, agg_col, "out", threads, &m);
-      EXPECT_TRUE(parallel.empty()) << "threads=" << threads;
-      EXPECT_EQ(parallel.schema(), Schema({"K", "out"}));
-      EXPECT_EQ(m.rows_in, 0u);
-      EXPECT_EQ(m.rows_out, 0u);
-    }
+    EXPECT_EQ(m.rows_in, 0u);
+    EXPECT_EQ(m.rows_out, 0u);
   }
 }
 

@@ -187,6 +187,37 @@ TEST(ShellTest, DynamicRefusesViewPredicates) {
             std::string::npos);
 }
 
+// A view the flock does not read does not stand in DYNAMIC's way: with
+// `v` DEFINEd, the pair flock over the base relation runs DYNAMIC (RUN and
+// EXPLAIN ANALYZE) to DIRECT's answer, while a flock that reads `v` is
+// still refused.
+TEST(ShellTest, DynamicRunsBesideAnUnreadView) {
+  Shell shell;
+  MustRun(shell, "GEN BASKETS b n_baskets=200 n_items=25 seed=13");
+  MustRun(shell, "DEFINE v(B) :- b(B,I)");
+  MustRun(shell,
+          "FLOCK pairs QUERY answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2 "
+          "FILTER COUNT >= 5");
+  auto answer_of = [](const std::string& s) {
+    std::size_t colon = s.find(':');
+    std::size_t word = s.find(" assignments");
+    return s.substr(colon, word - colon) + s.substr(s.find('\n'));
+  };
+  std::string dynamic = MustRun(shell, "RUN pairs DYNAMIC LIMIT 5");
+  EXPECT_NE(dynamic.find("(DYNAMIC)"), std::string::npos) << dynamic;
+  EXPECT_EQ(answer_of(dynamic),
+            answer_of(MustRun(shell, "RUN pairs DIRECT LIMIT 5")));
+  EXPECT_NE(MustRun(shell, "EXPLAIN ANALYZE pairs DYNAMIC").find("dynamic"),
+            std::string::npos);
+
+  MustRun(shell,
+          "FLOCK via_view QUERY answer(B) :- v(B) AND b(B,$1) "
+          "FILTER COUNT >= 5");
+  Result<std::string> refused = shell.Execute("RUN via_view DYNAMIC");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnimplemented);
+}
+
 TEST(ShellTest, DefineRejectsRecursion) {
   Shell shell;
   EXPECT_FALSE(shell.Execute("DEFINE tc(X,Y) :- tc(X,Z) AND arc(Z,Y)").ok());

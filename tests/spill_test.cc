@@ -1,7 +1,7 @@
 // Grace-hash spilling (relational/spill.h): checksummed spill-file I/O
-// (round trip, corruption, fault injection, orphan cleanup), differential
-// suites proving every spill kernel bit-identical to its in-memory
-// counterpart, the SpillGroupSink against GroupAggregate∘Distinct, and an
+// (round trip, corruption, fault injection, orphan cleanup), the
+// SpillGroupSink — in memory and spilled, under injected faults and
+// crashes — against GroupAggregate∘Distinct, and an
 // end-to-end flock evaluation where a budget that used to mean
 // RESOURCE_EXHAUSTED now spills to the same answer at several thread
 // counts.
@@ -156,113 +156,94 @@ TEST(SpillFileTest, RemoveSpillFilesSweepsOnlySpillFiles) {
   EXPECT_EQ(*none, 0u);
 }
 
-// ------------------------------------------------- kernel differentials
+// ---------------------------------------------------- spilling sink
 
-Relation MakeLeft(int rows, int keys, unsigned seed) {
-  Relation r("left", Schema({"A", "B"}));
+// Random answer rows (group key K, head H, weight V) with duplicates.
+Relation MakeAnswerRows(int rows, unsigned seed) {
+  Relation r("pushed", Schema({"K", "H", "V"}));
   std::mt19937 rng(seed);
   for (int i = 0; i < rows; ++i) {
-    r.AddRow({Value(static_cast<int>(rng() % 50)),
-              Value("k" + std::to_string(rng() % static_cast<unsigned>(keys)))});
+    r.AddRow({Value("g" + std::to_string(rng() % 13)),
+              Value(static_cast<int>(rng() % 40)),
+              Value(static_cast<double>(rng() % 25) / 4.0)});
   }
-  return Distinct(r);
+  return r;
 }
 
-Relation MakeRight(int rows, int keys, unsigned seed) {
-  Relation r("right", Schema({"B", "C"}));
-  std::mt19937 rng(seed);
-  for (int i = 0; i < rows; ++i) {
-    r.AddRow({Value("k" + std::to_string(rng() % static_cast<unsigned>(keys))),
-              Value(static_cast<double>(rng() % 100) / 4.0)});
+// A budget the sink's first charge point (kPollStride distinct rows)
+// overshoots, so it spills there; each of the four partitions still fits.
+constexpr std::uint64_t kSpillBudget = 64 * 1024;
+
+// Pushes `rows` through a sink that must spill, then drains it.
+Result<Relation> SpilledGroup(const Relation& rows, AggKind kind,
+                              SpillEnv& env, std::uint64_t* answer_rows) {
+  QueryContext ctx;
+  ctx.set_memory_budget(kSpillBudget);
+  ctx.set_spill_env(&env);
+  SpillGroupSink sink(rows.schema(), /*key_columns=*/1, kind, "V", "_agg",
+                      nullptr, &env, &ctx, nullptr);
+  for (const Tuple& row : rows.rows()) {
+    if (Status s = sink.Push(row); !s.ok()) return s;
   }
-  return Distinct(r);
-}
-
-TEST(SpillKernelTest, NaturalJoinMatchesInMemoryExactly) {
-  for (int keys : {1, 3, 17}) {  // 1 = worst-case skew, all rows one key
-    TestEnv t;
-    Relation a = MakeLeft(400, keys, 1);
-    Relation b = MakeRight(300, keys, 2);
-    Relation oracle = NaturalJoin(a, b);
-    Result<Relation> spilled = SpillNaturalJoin(a, b, t.env);
-    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_EQ(spilled->schema().columns(), oracle.schema().columns());
-    EXPECT_EQ(spilled->rows(), oracle.rows()) << "keys=" << keys;
-    EXPECT_GT(t.env.stats.activations.load(), 0u);
-  }
-}
-
-TEST(SpillKernelTest, CrossProductFallsBackToInMemoryJoin) {
-  TestEnv t;
-  Relation a("a", Schema({"A"}));
-  Relation b("b", Schema({"B"}));
-  for (int i = 0; i < 20; ++i) a.AddRow({Value(i)});
-  for (int i = 0; i < 10; ++i) b.AddRow({Value(i * 100)});
-  Relation oracle = NaturalJoin(a, b);
-  Result<Relation> spilled = SpillNaturalJoin(a, b, t.env);
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_EQ(spilled->rows(), oracle.rows());
-}
-
-TEST(SpillKernelTest, ProjectMatchesFirstOccurrenceOrder) {
-  TestEnv t;
-  Relation r = MakeLeft(600, 9, 3);
-  Relation oracle = Project(r, {"B"});
-  Result<Relation> spilled = SpillProject(r, {"B"}, t.env);
-  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  EXPECT_EQ(spilled->rows(), oracle.rows());
+  Result<Relation> out = sink.Finish();
+  if (answer_rows != nullptr) *answer_rows = sink.answer_rows();
+  return out;
 }
 
 TEST(SpillKernelTest, GroupAggregateMatchesSerialForEveryAggKind) {
+  // A spilled sink groups each partition on its own; every group is whole
+  // in one partition and sees its rows in push order, so even the float
+  // SUM matches the serial kernel over the distinct rows bit for bit.
+  Relation pushed = MakeAnswerRows(3000, 4);
+  Relation distinct = Distinct(pushed);
+  ASSERT_GT(distinct.size(), QueryContext::kPollStride);
   for (AggKind kind :
        {AggKind::kCount, AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
     TestEnv t;
-    Relation r = MakeLeft(500, 11, 4);  // duplicate-free (Distinct above)
-    Relation oracle = GroupAggregate(r, {"B"}, kind, "A", "_agg");
-    Result<Relation> spilled =
-        SpillGroupAggregate(r, {"B"}, kind, "A", "_agg", t.env);
+    std::uint64_t answer_rows = 0;
+    Result<Relation> spilled = SpilledGroup(pushed, kind, t.env, &answer_rows);
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    EXPECT_GT(t.env.stats.activations.load(), 0u);
+    Relation oracle = GroupAggregate(distinct, {"K"}, kind, "V", "_agg");
     EXPECT_EQ(spilled->schema().columns(), oracle.schema().columns());
     EXPECT_EQ(spilled->rows(), oracle.rows())
         << "kind " << static_cast<int>(kind);
+    EXPECT_EQ(answer_rows, distinct.size());
   }
 }
 
 TEST(SpillKernelTest, FaultSweepNeverYieldsWrongRows) {
   // A one-shot injected I/O failure at every mutating operation in turn:
-  // the kernel either fails with the typed error or — when the fault
-  // landed on an op the kernel never reached — produces the exact oracle.
-  Relation a = MakeLeft(200, 5, 5);
-  Relation b = MakeRight(150, 5, 6);
-  Relation oracle = NaturalJoin(a, b);
+  // the spilling sink either fails with the typed error or — when the
+  // fault landed on an op it never reached — produces the exact oracle.
+  Relation pushed = MakeAnswerRows(3000, 5);
+  Relation oracle =
+      GroupAggregate(Distinct(pushed), {"K"}, AggKind::kSum, "V", "_agg");
+  auto fault_env = [](FaultVfs& fault) {
+    auto env = std::make_unique<SpillEnv>();
+    env->vfs = &fault;
+    env->dir = "spill";
+    env->fanout = 4;
+    env->block_bytes = 512;
+    return env;
+  };
   std::uint64_t total_ops = 0;
   {
-    TestEnv t;
-    ASSERT_TRUE(SpillNaturalJoin(a, b, t.env).ok());
-    // MemVfs does not count ops; rerun against FaultVfs to learn the count.
     MemVfs base;
     FaultVfs fault(base);
-    SpillEnv env;
-    env.vfs = &fault;
-    env.dir = "spill";
-    env.fanout = 4;
-    env.block_bytes = 512;
-    ASSERT_TRUE(SpillNaturalJoin(a, b, env).ok());
+    auto env = fault_env(fault);
+    ASSERT_TRUE(SpilledGroup(pushed, AggKind::kSum, *env, nullptr).ok());
     total_ops = fault.op_count();
   }
   ASSERT_GT(total_ops, 0u);
   for (std::uint64_t k = 1; k <= total_ops; ++k) {
     MemVfs base;
     FaultVfs fault(base);
-    SpillEnv env;
-    env.vfs = &fault;
-    env.dir = "spill";
-    env.fanout = 4;
-    env.block_bytes = 512;
+    auto env = fault_env(fault);
     FaultPlan plan;
     plan.fail_at_op = k;
     fault.set_plan(plan);
-    Result<Relation> r = SpillNaturalJoin(a, b, env);
+    Result<Relation> r = SpilledGroup(pushed, AggKind::kSum, *env, nullptr);
     if (r.ok()) {
       EXPECT_EQ(r->rows(), oracle.rows()) << "fault op " << k;
     } else {
@@ -273,8 +254,7 @@ TEST(SpillKernelTest, FaultSweepNeverYieldsWrongRows) {
 }
 
 TEST(SpillKernelTest, CrashMidSpillIsTypedErrorAndLeavesOnlyOrphans) {
-  Relation a = MakeLeft(200, 5, 7);
-  Relation b = MakeRight(150, 5, 8);
+  Relation pushed = MakeAnswerRows(3000, 7);
   for (std::uint64_t crash_at : {3u, 9u, 20u}) {
     MemVfs base;
     FaultVfs fault(base);
@@ -287,7 +267,7 @@ TEST(SpillKernelTest, CrashMidSpillIsTypedErrorAndLeavesOnlyOrphans) {
     plan.crash_at_op = crash_at;
     plan.torn_write_bytes = 7;
     fault.set_plan(plan);
-    Result<Relation> r = SpillNaturalJoin(a, b, env);
+    Result<Relation> r = SpilledGroup(pushed, AggKind::kCount, env, nullptr);
     EXPECT_FALSE(r.ok()) << "crash op " << crash_at;
     // Whatever the crash stranded is exactly what the orphan sweep
     // matches — the next OPEN would clean it.
@@ -312,7 +292,7 @@ TEST(SpillGroupSinkTest, MatchesGroupAggregateOverDistinctRows) {
     TestEnv t;
     Schema schema({"K", "H", "V"});
     SpillGroupSink sink(schema, /*key_columns=*/1, kind, "V", "_agg",
-                        nullptr, t.env, nullptr, nullptr);
+                        nullptr, &t.env, nullptr, nullptr);
     Relation pushed("pushed", schema);
     std::mt19937 rng(9);
     for (int i = 0; i < 800; ++i) {
@@ -342,12 +322,37 @@ TEST(SpillGroupSinkTest, RowCheckErrorAbortsFinish) {
     }
     return Status::Ok();
   };
-  SpillGroupSink sink(schema, 1, AggKind::kSum, "V", "_agg", check, t.env,
+  SpillGroupSink sink(schema, 1, AggKind::kSum, "V", "_agg", check, &t.env,
                       nullptr, nullptr);
   ASSERT_TRUE(sink.Push({Value("a"), Value(3)}).ok());
   ASSERT_TRUE(sink.Push({Value("b"), Value(-1)}).ok());
   Result<Relation> grouped = sink.Finish();
   ASSERT_FALSE(grouped.ok());
+  EXPECT_NE(grouped.status().ToString().find("negative weight"),
+            std::string::npos);
+}
+
+TEST(SpillGroupSinkTest, RowCheckErrorAbortsSpilledFinish) {
+  // The failing row arrives after the sink spilled: it is only checked
+  // when Finish drains its partition, and that error is Finish's result.
+  TestEnv t;
+  QueryContext ctx;
+  ctx.set_memory_budget(kSpillBudget);
+  ctx.set_spill_env(&t.env);
+  Relation pushed = MakeAnswerRows(3000, 11);
+  auto check = [](const Tuple& row) {
+    if (row[2].AsNumber() < 0) return InvalidArgumentError("negative weight");
+    return Status::Ok();
+  };
+  SpillGroupSink sink(pushed.schema(), /*key_columns=*/1, AggKind::kSum, "V",
+                      "_agg", check, &t.env, &ctx, nullptr);
+  for (const Tuple& row : pushed.rows()) ASSERT_TRUE(sink.Push(row).ok());
+  ASSERT_TRUE(sink.spilled());
+  EXPECT_GT(t.env.stats.activations.load(), 0u);
+  ASSERT_TRUE(sink.Push({Value("g1"), Value(7), Value(-1.0)}).ok());
+  Result<Relation> grouped = sink.Finish();
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(grouped.status().ToString().find("negative weight"),
             std::string::npos);
 }
