@@ -40,14 +40,6 @@ Status AtomicWriteFile(Vfs& vfs, const std::string& path,
   return vfs.SyncDir(VfsDirName(path));
 }
 
-Result<std::string> Vfs::ReadAt(const std::string& path, std::uint64_t offset,
-                                std::size_t length) {
-  Result<std::string> all = ReadFile(path);
-  if (!all.ok()) return all.status();
-  if (offset >= all->size()) return std::string();
-  return all->substr(offset, length);
-}
-
 Vfs& DefaultVfs() {
   static PosixVfs vfs;
   return vfs;
@@ -338,6 +330,16 @@ Result<std::string> MemVfs::ReadFile(const std::string& path) {
   auto it = live_.find(path);
   if (it == live_.end()) return NotFoundError("open " + path);
   return it->second->data;
+}
+
+Result<std::string> MemVfs::ReadAt(const std::string& path,
+                                   std::uint64_t offset, std::size_t length) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = live_.find(path);
+  if (it == live_.end()) return NotFoundError("open " + path);
+  const std::string& data = it->second->data;
+  if (offset >= data.size()) return std::string();
+  return data.substr(offset, length);
 }
 
 Result<std::vector<std::string>> MemVfs::ListDir(const std::string& dir) {

@@ -58,12 +58,12 @@ class Vfs {
   // Reads the whole file. NOT_FOUND if it does not exist.
   virtual Result<std::string> ReadFile(const std::string& path) = 0;
   // Reads up to `length` bytes starting at `offset`; shorter only when the
-  // file ends first. The page and spill readers use this to touch one
-  // page at a time. The default implementation reads the whole file and
-  // slices (always correct); PosixVfs overrides with pread.
+  // file ends first (empty at or past the end). NOT_FOUND if the file does
+  // not exist. The page and spill readers use this to touch one block at
+  // a time, so it must cost the bytes read, not the file size.
   virtual Result<std::string> ReadAt(const std::string& path,
                                      std::uint64_t offset,
-                                     std::size_t length);
+                                     std::size_t length) = 0;
   // Sorted names (not paths) of the regular files directly inside `dir`.
   // A missing directory reads as empty: orphan sweeps treat "never
   // created" and "nothing there" alike.
@@ -142,6 +142,8 @@ class MemVfs : public Vfs {
   MemVfs() = default;
 
   Result<std::string> ReadFile(const std::string& path) override;
+  Result<std::string> ReadAt(const std::string& path, std::uint64_t offset,
+                             std::size_t length) override;
   Result<std::vector<std::string>> ListDir(const std::string& dir) override;
   Result<std::uint64_t> FileSize(const std::string& path) override;
   Result<std::unique_ptr<WritableFile>> OpenAppend(

@@ -601,8 +601,49 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   }
 
+  // Offers a filter point, named by label(), to options.filter_policy and
+  // applies its decision: a semi-join with the kept parameter assignments.
+  // A view is given rows of its own only when it is filtered.
+  FilterPolicy* policy = options.filter_policy;
+  auto offer = [&](Binding& b, const auto& label) -> Status {
+    if (policy == nullptr || b.empty() ||
+        std::none_of(b.schema().columns().begin(), b.schema().columns().end(),
+                     [](const std::string& c) { return c.starts_with('$'); })) {
+      return Status::Ok();
+    }
+    std::string at = label();
+    OpMetrics* node = m != nullptr ? m->AddChild("dyn_filter", at) : nullptr;
+    ScopedOp span(node, tr);
+    const std::size_t before = b.size();
+    Result<std::optional<Relation>> keep =
+        policy->Decide({std::move(at), b.schema(), b.rows(), node});
+    if (!keep.ok()) return keep.status();
+    if (keep->has_value()) {
+      OpMetrics* snode =
+          node != nullptr ? node->AddChild("semi_join", "reduce by filter")
+                          : nullptr;
+      ScopedOp sspan(snode, tr);
+      own(b);
+      std::uint64_t dropped = static_cast<std::uint64_t>(b.size()) *
+                              ApproxTupleBytes(b.arity());
+      b.rel = SemiJoin(b.rel, **keep, snode, ctx);
+      if (ctx != nullptr) ctx->Release(dropped);
+      release(**keep);
+      policy->Applied(b.size());
+    }
+    if (node != nullptr) {
+      node->rows_in += before;
+      node->rows_out += b.size();
+    }
+    return governed();
+  };
+  auto offer_leaf = [&](Binding& b) {
+    return offer(b, [&b] { return "leaf " + b.subgoal->ToString(); });
+  };
+
   // Fold joins, applying comparisons and negations as soon as bound.
   Binding current = std::move(positive_bindings[order[0]]);
+  if (Status s2 = offer_leaf(current); !s2.ok()) return s2;
   std::size_t peak = current.size();
   auto apply_ready = [&]() {
     for (PendingComparison& pc : comparisons) {
@@ -649,6 +690,8 @@ Result<Relation> EvaluateConjunctiveBindings(
   if (Status s2 = governed(); !s2.ok()) return s2;
   // Every join but the last materializes its (filtered) result.
   for (std::size_t k = 1; k + 1 < order.size(); ++k) {
+    Binding& next = positive_bindings[order[k]];
+    if (Status s2 = offer_leaf(next); !s2.ok()) return s2;
     OpMetrics* node =
         m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
                      : nullptr;
@@ -657,7 +700,6 @@ Result<Relation> EvaluateConjunctiveBindings(
       // The parallel join preserves the serial join's row order, so the
       // fold's intermediates are identical for every thread count.
       own(current);
-      Binding& next = positive_bindings[order[k]];
       own(next);
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
@@ -675,6 +717,11 @@ Result<Relation> EvaluateConjunctiveBindings(
     peak = std::max(peak, current.size());
     apply_ready();
     if (Status s2 = governed(); !s2.ok()) return s2;
+    if (Status s2 = offer(current,
+                          [k] { return "after join " + std::to_string(k); });
+        !s2.ok()) {
+      return s2;
+    }
   }
 
   // The final join is fused (DESIGN.md §14): each joined row is tested
@@ -684,6 +731,9 @@ Result<Relation> EvaluateConjunctiveBindings(
   // positive subgoal the scan's rows stream the same way.
   Binding* build =
       order.size() > 1 ? &positive_bindings[order.back()] : nullptr;
+  if (build != nullptr) {
+    if (Status s2 = offer_leaf(*build); !s2.ok()) return s2;
+  }
   std::vector<std::string> joined_cols = current.schema().columns();
   std::vector<std::size_t> b_rest;
   if (build != nullptr) {

@@ -12,6 +12,7 @@
 #define QF_FLOCKS_CQ_EVAL_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,36 @@ class PredicateResolver {
 Relation SubgoalBindings(const Subgoal& subgoal, const Relation& base,
                          unsigned threads = 1, OpMetrics* metrics = nullptr,
                          QueryContext* ctx = nullptr);
+
+// A point of the join fold where a filter policy may prune parameter
+// assignments: a leaf binding before it is joined, or a materialized
+// intermediate once its ready comparisons and negations are applied.
+struct FilterPoint {
+  std::string at;                  // "leaf p(B,$1)" or "after join 2"
+  const Schema& schema;            // binding columns ("X", "$p")
+  const std::vector<Tuple>& rows;  // read in place, views of a base too
+  OpMetrics* node;                 // the point's "dyn_filter" node, or null
+};
+
+// Decides at each FilterPoint whether to filter — the paper's §4.4
+// dynamic strategy is one (optimizer/dynamic.h). Points are offered in
+// join order, one at a time, on the evaluating thread; a point that binds
+// no parameter or holds no rows is not offered. The fused final join is
+// never offered: the flock's GROUP BY + FILTER sink is the root filter.
+class FilterPolicy {
+ public:
+  FilterPolicy() = default;
+  FilterPolicy(const FilterPolicy&) = delete;
+  FilterPolicy& operator=(const FilterPolicy&) = delete;
+  virtual ~FilterPolicy() = default;
+  // The parameter assignments to keep — a relation over some of the
+  // point's columns, charged to the context like an operator's output —
+  // which the evaluator semi-joins the point with and then releases; or
+  // nullopt to leave the point as it is.
+  virtual Result<std::optional<Relation>> Decide(const FilterPoint& point) = 0;
+  // Called after the evaluator applied Decide's filter: the rows left.
+  virtual void Applied(std::size_t rows_after) = 0;
+};
 
 struct CqEvalOptions {
   // Join order as positions into the query's list of *positive* subgoals
@@ -100,6 +131,10 @@ struct CqEvalOptions {
   // same order at every thread count, and the evaluation returns an empty
   // relation with the output schema.
   TupleSink* sink = nullptr;
+  // Consulted at every FilterPoint; each decision adds a "dyn_filter"
+  // node (with a "semi_join" child when it filtered). Null (the default)
+  // offers nothing: one branch per leaf and per intermediate.
+  FilterPolicy* filter_policy = nullptr;
 };
 
 // Evaluates the body of `cq` and projects the bindings onto

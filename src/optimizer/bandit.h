@@ -94,9 +94,8 @@ PlanContext MakePlanContext(const QueryFlock& flock, const CostModel& model);
 // The candidate arms for `flock`, in deterministic order. Always includes
 // the static-plan arm and the cost-ordered and text-ordered direct arms
 // (deduplicated when the cost order *is* the text order); when
-// `dynamic_eligible` (single disjunct, support filter, no view
-// predicates — the DynamicEvaluate preconditions, which the caller
-// checks), adds §4.4 arms over `session_knobs` and two contrasting
+// `dynamic_eligible` (single disjunct and support filter — the
+// DynamicEvaluate preconditions, which the caller checks), adds §4.4 arms over `session_knobs` and two contrasting
 // presets. Arms are re-enumerated per run: "direct:cost" always means
 // "the cost model's current order", so plans track statistics while the
 // history tracks the strategy.

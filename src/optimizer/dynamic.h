@@ -12,14 +12,24 @@
 //     significantly since the last filtering opportunity.
 //
 // The pruning counts are sound upper bounds on the final answer count: the
-// prefix of a join order is a subquery containing the original (§3.1), and
-// counting distinct rows (or distinct head-variable bindings once bound)
-// per assignment over-approximates the eventual COUNT(answer).
+// prefix of a join order is a subquery containing the original (§3.1), so
+// at a point that binds every head variable, counting distinct
+// head-variable bindings per assignment over-approximates the eventual
+// COUNT(answer). Points that leave a head variable unbound are not
+// decision points: one of their rows can lead to many answers.
+//
+// The rule is a policy on the ordinary join fold, not a second evaluator:
+// DynamicEvaluate is EvaluateFlock (flocks/eval.h) with the rule as its
+// FilterPolicy (flocks/cq_eval.h). The fold offers each leaf before it is
+// joined and each materialized intermediate; the flock's GROUP BY +
+// FILTER sink is the mandatory filter at the root ("We must filter at the
+// root"), so the fused final join is never offered.
 #ifndef QF_OPTIMIZER_DYNAMIC_H_
 #define QF_OPTIMIZER_DYNAMIC_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -49,18 +59,21 @@ struct DynamicOptions {
   // §4.4 made operational: a mean ratio below threshold does not help if
   // the mass sits in a few huge groups.
   double min_removed_fraction = 0.2;
-  // Worker threads for the scan/bindings phase (1 = serial; results are
+  // Worker threads for the scans and the intermediate joins, which run
+  // morsel-parallel as in EvaluateFlock (1 = serial; results are
   // identical for every value).
   unsigned threads = 1;
-  // Observability (common/metrics.h): the evaluation appends "scan",
-  // "dyn_filter" (one per decision point, with "group_by"/"semi_join"
-  // children when those ran), "join", and the final aggregation nodes.
-  // `trace` receives span events; ignored unless `metrics` is set.
+  // Observability (common/metrics.h): the flock evaluator's tree, with one
+  // "dyn_filter" node per decision point inside the disjunct (its
+  // "group_by" child is the group-count pass, a "semi_join" child the
+  // applied filter). `trace` receives span events; ignored unless
+  // `metrics` is set.
   OpMetrics* metrics = nullptr;
   TraceSink* trace = nullptr;
   // Resource governance (common/resource.h): polled by every operator in
-  // the fold and checked after each decision point, so a runaway dynamic
-  // evaluation aborts with the context's typed Status.
+  // the fold, the decision points included, so a runaway dynamic
+  // evaluation aborts with the context's typed Status; the group counts
+  // and the root sink spill under the context's spill grant.
   QueryContext* ctx = nullptr;
 };
 
@@ -87,17 +100,20 @@ struct DynamicDecision {
 
 struct DynamicLog {
   std::vector<DynamicDecision> decisions;
-  std::size_t peak_rows = 0;
+  std::size_t peak_rows = 0;  // FlockEvalInfo::peak_rows of the run
   std::size_t filters_applied = 0;
 };
 
-// Evaluates `flock` with dynamic filter selection. Requires a
+// Evaluates `flock` over `db` (plus `extra` predicate overlays, e.g.
+// materialized views) with dynamic filter selection. Requires a
 // single-disjunct query (per-disjunct pruning of a union against the full
 // threshold would be unsound — §3.4 demands unions of subqueries) and a
-// support-style filter. The result equals EvaluateFlock(flock, db).
-Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
-                                 const DynamicOptions& options = {},
-                                 DynamicLog* log = nullptr);
+// support-style filter. The result equals EvaluateFlock(flock, db, {},
+// extra).
+Result<Relation> DynamicEvaluate(
+    const QueryFlock& flock, const Database& db,
+    const DynamicOptions& options = {}, DynamicLog* log = nullptr,
+    const std::map<std::string, const Relation*>* extra = nullptr);
 
 // Renders the decisions of a dynamic run in the spirit of the paper's
 // Fig. 9 ("a possible query plan resulting from dynamic evaluation"):

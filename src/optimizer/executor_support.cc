@@ -43,20 +43,6 @@ Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
   return ExecutePlan(plan, flock, db, options, info);
 }
 
-bool FlockReadsOverlay(
-    const QueryFlock& flock,
-    const std::map<std::string, const Relation*>* overlays) {
-  if (overlays == nullptr || overlays->empty()) return false;
-  for (const ConjunctiveQuery& cq : flock.query.disjuncts) {
-    for (const Subgoal& s : cq.subgoals) {
-      if (!s.is_comparison() && overlays->contains(s.predicate())) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
                             const Database& db, const CostModelSource& model,
                             const ArmExecOptions& options) {
@@ -100,11 +86,6 @@ Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
       break;
     }
     case BanditArm::Kind::kDynamic: {
-      if (FlockReadsOverlay(flock, options.extra_predicates)) {
-        return UnimplementedError(
-            "RUN ... DYNAMIC does not support intermediate predicates yet; "
-            "use DIRECT or PLAN");
-      }
       DynamicOptions dyn_options;
       if (!arm.orders.empty()) dyn_options.join_order = arm.orders.front();
       dyn_options.aggressiveness = arm.knobs.aggressiveness;
@@ -114,7 +95,8 @@ Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
       dyn_options.metrics = metrics;
       dyn_options.trace = options.trace;
       dyn_options.ctx = options.ctx;
-      result = DynamicEvaluate(flock, db, dyn_options, options.dynamic_log);
+      result = DynamicEvaluate(flock, db, dyn_options, options.dynamic_log,
+                               options.extra_predicates);
       break;
     }
   }

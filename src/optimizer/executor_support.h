@@ -48,19 +48,11 @@ struct ArmExecOptions {
   OpMetrics* metrics = nullptr;
   TraceSink* trace = nullptr;
   QueryContext* ctx = nullptr;
-  // Intermediate-predicate overlays (materialized DEFINE views). kDynamic
-  // arms refuse to run when the flock reads one of them.
+  // Intermediate-predicate overlays (materialized DEFINE views).
   const std::map<std::string, const Relation*>* extra_predicates = nullptr;
   // Receives the §4.4 decision log of kDynamic arms.
   DynamicLog* dynamic_log = nullptr;
 };
-
-// True when a relational subgoal (positive or negated) of `flock` names
-// one of the `overlays`; null reads as none. DynamicEvaluate reads only
-// the database, so it can run exactly the flocks for which this is false.
-bool FlockReadsOverlay(
-    const QueryFlock& flock,
-    const std::map<std::string, const Relation*>* overlays);
 
 // The one executor for BanditArm — explicit RUN modes (fixed arms),
 // learned arms, tests and benches all run through it. kPlan = §4.3 plan

@@ -781,10 +781,9 @@ Result<Shell::FlockRun> Shell::RunFlock(const std::string& name,
     Result<const CostModel*> model = Model();
     if (!model.ok()) return model.status();
     PlanContext pctx = MakePlanContext(flock, **model);
-    // The DynamicEvaluate preconditions (single disjunct, support filter,
-    // no subgoal over a view); only then do the §4.4 arms enter the pool.
-    const bool dynamic_eligible = !FlockReadsOverlay(flock, &extra) &&
-                                  flock.query.disjuncts.size() == 1 &&
+    // The DynamicEvaluate preconditions (single disjunct, support filter);
+    // only then do the §4.4 arms enter the pool.
+    const bool dynamic_eligible = flock.query.disjuncts.size() == 1 &&
                                   flock.filter.IsSupportStyle();
     std::vector<BanditArm> arms =
         EnumerateArms(flock, **model, dynamic_eligible, dynamic_knobs_);

@@ -183,7 +183,11 @@ TEST(DynamicTest, RejectsNonSupportFilter) {
 //
 //   p(B,I): item a in baskets b1..b8 (8 rows), items c,d,e in baskets
 //           b9,b10 (6 rows) — 14 tuples over 4 items, leaf ratio 3.5;
-//   q(B):   chosen per test to reshape the post-join distribution.
+//   q(B):   chosen per test to reshape the post-join distribution;
+//   r(B):   every basket b1..b10, so in p(B,$1) AND q(B) AND r(B) the
+//           "after join 1" point is a materialized intermediate (the
+//           final join streams into the root filter and is never a
+//           decision point) and r changes no ratio.
 //
 // With threshold 4, aggressiveness 1: the leaf passes the ratio gate
 // (3.5 < 4) but filtering removes only 6/14 = 0.43 of the mass, so
@@ -203,9 +207,12 @@ Database LatticeDb(std::vector<std::string> q_baskets) {
   }
   Relation q("q", Schema({"B"}));
   for (const std::string& b : q_baskets) q.AddRow({Value(b)});
+  Relation r("r", Schema({"B"}));
+  for (int i = 1; i <= 10; ++i) r.AddRow({Value("b" + std::to_string(i))});
   Database db;
   db.PutRelation(std::move(p));
   db.PutRelation(std::move(q));
+  db.PutRelation(std::move(r));
   return db;
 }
 
@@ -250,7 +257,7 @@ TEST(DynamicLatticeTest, DeclinedBaselineIsClampedSoLaterJoinCanFilter) {
   // baseline the bar would be 1.75 < 1.75 = false and the §4.4 step
   // would be locked out by its own earlier decline.
   Database db = LatticeDb({"b1", "b9", "b10"});
-  QueryFlock flock = Flock("answer(B) :- p(B,$1) AND q(B)",
+  QueryFlock flock = Flock("answer(B) :- p(B,$1) AND q(B) AND r(B)",
                            FilterCondition::MinSupport(4));
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
@@ -274,7 +281,7 @@ TEST(DynamicLatticeTest, UnimprovedRatioIsNotReconsidered) {
   // 0.5 * 4 = 2, so the seen set is left alone — considered exactly once.
   Database db = LatticeDb({"b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8",
                            "b9", "b10"});
-  QueryFlock flock = Flock("answer(B) :- p(B,$1) AND q(B)",
+  QueryFlock flock = Flock("answer(B) :- p(B,$1) AND q(B) AND r(B)",
                            FilterCondition::MinSupport(4));
   DynamicLog log;
   ASSERT_TRUE(DynamicEvaluate(flock, db, LatticeOptions(), &log).ok());
@@ -303,6 +310,29 @@ TEST(DynamicLatticeTest, GateFailedOpportunityRecordsNothingExtra) {
   EXPECT_FALSE(leaf->considered);
   EXPECT_FALSE(leaf->filtered);
   EXPECT_EQ(leaf->removed_fraction, 0.0);
+}
+
+TEST(DynamicTest, PointWithoutHeadVariableIsNotADecisionPoint) {
+  // baskets(0,$1) binds no head variable: one row per item of basket 0,
+  // however many baskets hold the item, so its count bounds nothing.
+  // Even knobs that filter wherever they may must leave it alone.
+  Database db;
+  db.PutRelation(GenerateBaskets({.n_baskets = 200, .n_items = 20,
+                                  .avg_basket_size = 5, .zipf_theta = 1.0,
+                                  .seed = 3}));
+  QueryFlock flock = Flock("answer(B) :- baskets(0,$1) AND baskets(B,$1)",
+                           FilterCondition::MinSupport(3));
+  DynamicOptions options;
+  options.aggressiveness = 100;
+  options.improvement_factor = 100;
+  options.min_removed_fraction = 0;
+  DynamicLog log;
+  Result<Relation> direct = EvaluateFlock(flock, db);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_FALSE(direct->empty());
+  ExpectSame(direct, DynamicEvaluate(flock, db, options, &log));
+  EXPECT_EQ(FindDecision(log, "leaf baskets(0"), nullptr);
+  EXPECT_NE(FindDecision(log, "leaf baskets(B"), nullptr);
 }
 
 TEST(DynamicTest, ThreadedScanMatchesSerial) {

@@ -9,7 +9,9 @@
 // serial GroupAggregate, and the filter. Both must give the same rows,
 // the same peak_rows (the largest join output, streamed or not) and the
 // same answer_rows, at threads {0,1,4}, unbudgeted and spilled — and the
-// naive generate-and-test evaluator must agree on the rows.
+// naive generate-and-test evaluator must agree on the rows. Single-disjunct
+// support flocks also run DynamicEvaluate (§4.4 filters on the same fold)
+// at three knob presets, with the same rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +27,7 @@
 #include "flocks/eval.h"
 #include "flocks/flock.h"
 #include "flocks/naive_eval.h"
+#include "optimizer/dynamic.h"
 #include "relational/ops.h"
 #include "relational/spill.h"
 
@@ -274,11 +277,12 @@ struct EvalRun {
   std::uint64_t activations = 0;
 };
 
-// `spill` grants a spill environment whose activation threshold is zero:
-// the sink spills at its first charge point, so every non-empty answer
-// goes through the partition files. The budget itself is ample.
-EvalRun Evaluate(const QueryFlock& flock, const Database& db, unsigned threads,
-             bool spill) {
+// Runs `eval(ctx, info)` under a fresh context. `spill` grants a spill
+// environment whose activation threshold is zero: every sink spills at its
+// first charge point, so every non-empty answer goes through the partition
+// files. The budget itself is ample.
+template <typename Eval>
+EvalRun Governed(bool spill, const Eval& eval) {
   MemVfs vfs;
   SpillEnv env;
   env.vfs = &vfs;
@@ -291,11 +295,8 @@ EvalRun Evaluate(const QueryFlock& flock, const Database& db, unsigned threads,
     ctx.set_memory_budget(1ull << 30);
     ctx.set_spill_env(&env);
   }
-  FlockEvalOptions options;
-  options.threads = threads;
-  options.ctx = &ctx;
   EvalRun run;
-  run.rows = EvaluateFlock(flock, db, options, nullptr, &run.info);
+  run.rows = eval(&ctx, &run.info);
   run.activations = env.stats.activations.load();
   Result<std::vector<std::string>> left = vfs.ListDir("spill");
   EXPECT_TRUE(!left.ok() || left->empty())
@@ -303,8 +304,31 @@ EvalRun Evaluate(const QueryFlock& flock, const Database& db, unsigned threads,
   return run;
 }
 
+EvalRun Evaluate(const QueryFlock& flock, const Database& db, unsigned threads,
+                 bool spill) {
+  return Governed(spill, [&](QueryContext* ctx, FlockEvalInfo* info) {
+    FlockEvalOptions options;
+    options.threads = threads;
+    options.ctx = ctx;
+    return EvaluateFlock(flock, db, options, nullptr, info);
+  });
+}
+
+// §4.4 knob presets: never filter, the default gate, and one that filters
+// at every point it is offered (any ratio passes the gate, no removed
+// mass is required, and a seen set is always re-considered).
+std::vector<DynamicOptions> DynamicPresets() {
+  DynamicOptions never, standard, always;
+  never.aggressiveness = 0;
+  always.aggressiveness = 100;
+  always.improvement_factor = 100;
+  always.min_removed_fraction = 0;
+  return {never, standard, always};
+}
+
 TEST(FusedPipelineTest, GeneratedFlocksMatchTheKernelReference) {
   std::size_t checked = 0, spilled = 0, multi = 0, negated = 0;
+  std::size_t dynamic_filtered = 0;
   for (unsigned seed = 1; checked < 150 && seed < 5000; ++seed) {
     FlockGenerator gen(seed);
     Database db = RandomDatabase(gen.rng());
@@ -334,12 +358,38 @@ TEST(FusedPipelineTest, GeneratedFlocksMatchTheKernelReference) {
         }
       }
     }
+    // The DYNAMIC leg: §4.4 filtering on the same fold, one disjunct and a
+    // support filter being its preconditions.
+    if (flock->query.disjuncts.size() != 1 ||
+        !flock->filter.IsSupportStyle()) {
+      continue;
+    }
+    for (const DynamicOptions& preset : DynamicPresets()) {
+      for (unsigned threads : kThreadCounts) {
+        for (bool spill : {false, true}) {
+          SCOPED_TRACE("DYNAMIC aggressiveness " +
+                       std::to_string(preset.aggressiveness) + " threads " +
+                       std::to_string(threads) + (spill ? " spilled" : ""));
+          DynamicLog log;
+          EvalRun run = Governed(spill, [&](QueryContext* ctx, FlockEvalInfo*) {
+            DynamicOptions options = preset;
+            options.threads = threads;
+            options.ctx = ctx;
+            return DynamicEvaluate(*flock, db, options, &log);
+          });
+          ASSERT_TRUE(run.rows.ok()) << run.rows.status().ToString();
+          EXPECT_EQ(run.rows->rows(), ref.rows.rows());
+          if (log.filters_applied > 0) ++dynamic_filtered;
+        }
+      }
+    }
   }
   // The generator must actually reach the shapes this suite is about.
   EXPECT_EQ(checked, 150u);
   EXPECT_GT(spilled, 0u);
   EXPECT_GT(multi, 10u);
   EXPECT_GT(negated, 10u);
+  EXPECT_GT(dynamic_filtered, 0u);
 }
 
 // -------------------------------------------------- float SUM, bit for bit

@@ -4,6 +4,7 @@
 // Catalog's commit/checkpoint/recovery/latch behavior.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -212,6 +213,48 @@ TEST(MemVfsTest, InPlaceTruncationOfDurableFileIsDurableAtCrash) {
 TEST(MemVfsTest, MissingFileIsNotFound) {
   MemVfs vfs;
   EXPECT_EQ(vfs.ReadFile("nope").status().code(), StatusCode::kNotFound);
+}
+
+// ReadAt returns one slice of a file: a read in the middle, a short read
+// at the end, empty reads at and past the end, and NOT_FOUND for a
+// missing file. `prefix` is where the test may create files.
+void ExpectReadAtSlices(Vfs& vfs, const std::string& prefix) {
+  ASSERT_TRUE(WriteWhole(vfs, prefix + "slices", "0123456789", false).ok());
+  Result<std::string> middle = vfs.ReadAt(prefix + "slices", 3, 4);
+  ASSERT_TRUE(middle.ok()) << middle.status().ToString();
+  EXPECT_EQ(*middle, "3456");
+  EXPECT_EQ(*vfs.ReadAt(prefix + "slices", 7, 10), "789");
+  EXPECT_EQ(*vfs.ReadAt(prefix + "slices", 10, 4), "");
+  EXPECT_EQ(*vfs.ReadAt(prefix + "slices", 25, 4), "");
+  EXPECT_EQ(vfs.ReadAt(prefix + "missing", 0, 4).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(VfsReadAtTest, MemVfsReadsOneSlice) {
+  MemVfs vfs;
+  ExpectReadAtSlices(vfs, "");
+}
+
+TEST(VfsReadAtTest, PosixVfsReadsOneSlice) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "qf_read_at_test";
+  std::filesystem::remove_all(dir);
+  PosixVfs vfs;
+  ASSERT_TRUE(vfs.CreateDirs(dir.string()).ok());
+  ExpectReadAtSlices(vfs, dir.string() + "/");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VfsReadAtTest, FaultVfsFailsOnceCrashed) {
+  MemVfs base;
+  ASSERT_TRUE(WriteWhole(base, "f", "0123456789", true).ok());
+  FaultVfs vfs(base);
+  EXPECT_EQ(*vfs.ReadAt("f", 2, 3), "234");
+  FaultPlan plan;
+  plan.crash_at_op = 1;
+  vfs.set_plan(plan);
+  EXPECT_EQ(vfs.SyncDir(".").code(), StatusCode::kIoError);  // the crash
+  EXPECT_EQ(vfs.ReadAt("f", 2, 3).status().code(), StatusCode::kIoError);
 }
 
 // --------------------------------------------------- atomic whole-file IO
