@@ -11,7 +11,7 @@
 //                      a warmed-up history (every arm pre-played twice),
 //                      records the outcome, repeats — the steady-state
 //                      cost of `SET OPTIMIZER LEARNED`.
-// The acceptance property (asserted by the CI gate over BENCH_PR9.json):
+// The acceptance property (asserted by CI over this binary's JSON):
 // after warm-up, Learned tracks the best static arm in *both* regimes —
 // within 1.3x of min(StaticPlan, StaticDirect, StaticDynamic) — even
 // though no single static arm is best in both. ChooseOverhead prices the

@@ -146,14 +146,16 @@ void BM_Fig2_FlockPlanThreads(benchmark::State& state) {
     Relation serial =
         bench::MustOk(ExecutePlanOptimized(plan, flock, RetailDb()));
     Relation parallel = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr, threads));
+        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr,
+                             {.threads = threads}));
     QF_CHECK(serial.schema() == parallel.schema());
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr, threads));
+        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr,
+                             {.threads = threads}));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }

@@ -130,13 +130,13 @@ void BM_Fig9_StaticAlwaysThreads(benchmark::State& state) {
   {
     Relation serial = bench::MustOk(ExecutePlanOptimized(plan, flock, db));
     Relation parallel = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, nullptr, threads));
+        ExecutePlanOptimized(plan, flock, db, nullptr, {.threads = threads}));
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, nullptr, threads));
+        ExecutePlanOptimized(plan, flock, db, nullptr, {.threads = threads}));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }

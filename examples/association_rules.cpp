@@ -76,10 +76,11 @@ int main() {
   // --- Cross-check with the hand-coded a-priori miner. ---
   auto data = qf::BasketsFromRelation(baskets, "BID", "Item");
   qf::AprioriStats stats;
-  std::vector<qf::Itemset> frequent = qf::AprioriFrequentItemsets(
-      *data, {.min_support = static_cast<std::size_t>(kSupport),
-              .max_size = 3},
-      &stats);
+  qf::AprioriOptions apriori_options;
+  apriori_options.min_support = static_cast<std::size_t>(kSupport);
+  apriori_options.max_size = 3;
+  std::vector<qf::Itemset> frequent =
+      qf::AprioriFrequentItemsets(*data, apriori_options, &stats);
   std::size_t triples = 0;
   for (const qf::Itemset& s : frequent) triples += s.items.size() == 3;
   std::printf("a-priori miner: %zu frequent triples", triples);

@@ -66,8 +66,10 @@ int main() {
 
   // Cross-check against the specialized miner.
   auto data = qf::BasketsFromRelation(db.Get("baskets"), "BID", "Item");
-  std::vector<qf::Itemset> frequent = qf::AprioriFrequentItemsets(
-      *data, {.min_support = static_cast<std::size_t>(kSupport)});
+  qf::AprioriOptions apriori_options;
+  apriori_options.min_support = static_cast<std::size_t>(kSupport);
+  std::vector<qf::Itemset> frequent =
+      qf::AprioriFrequentItemsets(*data, apriori_options);
   std::size_t frequent_total = frequent.size();
   std::size_t flock_total = 0;
   for (std::size_t n : result->frequent_per_level) flock_total += n;

@@ -349,7 +349,7 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
                                              AprioriStats* stats) {
   std::vector<Itemset> result;
   OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  TraceSink* tr = options.tracer();
   if (m != nullptr && m->op.empty()) m->op = "apriori";
 
   // Level 1: plain counting pass.

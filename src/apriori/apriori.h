@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_context.h"
 #include "common/status.h"
 #include "relational/relation.h"
 
@@ -44,27 +43,20 @@ struct Itemset {
   std::size_t support = 0;    // number of baskets containing all items
 };
 
-struct AprioriOptions {
+// Under the context (common/exec_context.h), baskets are counted in
+// morsels with per-morsel tables merged by addition — integer counts, so
+// the mined itemsets (emitted in candidate order) are identical for
+// every thread count. Metrics get one "count_level" child per level
+// ("k=1", "k=2", ...), with rows_in = baskets scanned, tuples_probed =
+// candidates counted, rows_out = frequent sets found. Counting passes
+// poll the governor at basket granularity and stop early once it
+// latches; because the miners return plain vectors, a governed caller
+// MUST call Check() afterwards and discard the (possibly truncated)
+// result on failure.
+struct AprioriOptions : ExecContext {
   std::size_t min_support = 1;
   // Largest itemset size to mine; 0 = keep going until a level is empty.
   std::size_t max_size = 0;
-  // Workers for the counting passes (1 = serial). Baskets are counted in
-  // morsels with per-morsel tables merged by addition — integer counts,
-  // so the supports (and therefore the mined itemsets, which are emitted
-  // in candidate order) are identical for every value.
-  unsigned threads = 1;
-  // Observability (common/metrics.h): one "count_level" child per level
-  // ("k=1", "k=2", ...), with rows_in = baskets scanned, tuples_probed =
-  // candidates counted, rows_out = frequent sets found. `trace` receives
-  // span events; ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): counting passes poll the
-  // context at basket granularity (and at morsel starts) and stop early
-  // once it latches. Because the miners return plain vectors, a governed
-  // caller MUST call ctx->Check() afterwards and discard the (possibly
-  // truncated) result on failure.
-  QueryContext* ctx = nullptr;
 };
 
 struct AprioriStats {

@@ -6,9 +6,10 @@
 //
 // Design notes:
 //   * Metrics are *opt-in per call*: every evaluation entry point takes a
-//     nullable OpMetrics pointer (usually via its options struct). The
-//     disabled path is a null check — no clock reads, no allocations — so
-//     production runs pay nothing (bench_micro pins this).
+//     nullable OpMetrics pointer (the evaluators via their ExecContext,
+//     common/exec_context.h). The disabled path is a null check — no clock
+//     reads, no allocations — so production runs pay nothing (bench_micro
+//     pins this).
 //   * Counters live in plain (non-atomic) fields. Thread safety comes from
 //     structure, mirroring the engine's determinism contract: parallel
 //     regions pre-allocate one child node per independent unit (disjunct,

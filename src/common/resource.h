@@ -6,9 +6,10 @@
 //
 // Design notes:
 //   * Like OpMetrics, governance is *opt-in per call*: entry points take a
-//     nullable QueryContext pointer (usually via their options struct).
-//     The ungoverned path is a null check — no clock reads, no atomic
-//     traffic — so production runs without limits pay nothing.
+//     nullable QueryContext pointer (the evaluators via their ExecContext,
+//     common/exec_context.h). The ungoverned path is a null check — no
+//     clock reads, no atomic traffic — so production runs without limits
+//     pay nothing.
 //   * The first observed failure (deadline, cancel, budget, fault
 //     injection) *latches*: an atomic error code is set once and every
 //     subsequent Poll()/Check() fails fast. Parallel morsel workers test
@@ -58,7 +59,7 @@ struct SpillEnv;
 
 // Shared governor state for one query execution. Thread-safe: many morsel
 // workers poll and charge concurrently. Create one per RUN statement (or
-// per test), pass it by pointer through the options structs; nullptr means
+// per test), pass it by pointer as ExecContext::ctx; nullptr means
 // ungoverned.
 class QueryContext {
  public:

@@ -464,14 +464,11 @@ Result<Relation> EvaluateConjunctiveBindings(
   // Observability: `m` roots this query's operator tree; the trace sink
   // is only consulted when metrics are on (ScopedOp enforces this too).
   OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  TraceSink* tr = options.tracer();
   // Governance: check the context after every operator (truncated output
   // from a tripped operator must never be mistaken for a result), and
   // return accounted bytes of dropped intermediates to the pool.
   QueryContext* ctx = options.ctx;
-  auto governed = [ctx]() {
-    return ctx != nullptr ? ctx->Check() : Status::Ok();
-  };
   auto release = [ctx](const Relation& r) {
     if (ctx != nullptr) {
       ctx->Release(static_cast<std::uint64_t>(r.size()) *
@@ -507,7 +504,7 @@ Result<Relation> EvaluateConjunctiveBindings(
     } else {
       b.rel = SubgoalBindings(*s, **base, options.threads, node, ctx);
     }
-    if (Status s2 = governed(); !s2.ok()) return s2;
+    if (Status s2 = options.Check(); !s2.ok()) return s2;
   }
   // Gives a view binding rows of its own (charged like any scan output).
   auto own = [&](Binding& b) {
@@ -533,7 +530,7 @@ Result<Relation> EvaluateConjunctiveBindings(
     ScopedOp span(node, tr);
     pn.bindings =
         SubgoalBindings(*pn.subgoal, **base, options.threads, node, ctx);
-    if (Status s2 = governed(); !s2.ok()) return s2;
+    if (Status s2 = options.Check(); !s2.ok()) return s2;
   }
 
   // Optional Yannakakis full-reducer pass (acyclic queries only).
@@ -561,13 +558,13 @@ Result<Relation> EvaluateConjunctiveBindings(
       // Bottom-up: parents lose tuples with no match in their ears.
       for (std::size_t k = 0; k < tree->ears.size(); ++k) {
         reduce(tree->parents[k], tree->ears[k]);
-        if (Status s2 = governed(); !s2.ok()) return s2;
+        if (Status s2 = options.Check(); !s2.ok()) return s2;
       }
       // Top-down: ears lose tuples with no match in their (reduced)
       // parents. After both sweeps the bindings are globally consistent.
       for (std::size_t k = tree->ears.size(); k-- > 0;) {
         reduce(tree->ears[k], tree->parents[k]);
-        if (Status s2 = governed(); !s2.ok()) return s2;
+        if (Status s2 = options.Check(); !s2.ok()) return s2;
       }
     }
   }
@@ -635,7 +632,7 @@ Result<Relation> EvaluateConjunctiveBindings(
       node->rows_in += before;
       node->rows_out += b.size();
     }
-    return governed();
+    return options.Check();
   };
   auto offer_leaf = [&](Binding& b) {
     return offer(b, [&b] { return "leaf " + b.subgoal->ToString(); });
@@ -687,7 +684,7 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   };
   apply_ready();
-  if (Status s2 = governed(); !s2.ok()) return s2;
+  if (Status s2 = options.Check(); !s2.ok()) return s2;
   // Every join but the last materializes its (filtered) result.
   for (std::size_t k = 1; k + 1 < order.size(); ++k) {
     Binding& next = positive_bindings[order[k]];
@@ -713,10 +710,10 @@ Result<Relation> EvaluateConjunctiveBindings(
       if (ctx != nullptr) ctx->Release(dropped);
       release_binding(next);
     }
-    if (Status s2 = governed(); !s2.ok()) return s2;
+    if (Status s2 = options.Check(); !s2.ok()) return s2;
     peak = std::max(peak, current.size());
     apply_ready();
-    if (Status s2 = governed(); !s2.ok()) return s2;
+    if (Status s2 = options.Check(); !s2.ok()) return s2;
     if (Status s2 = offer(current,
                           [k] { return "after join " + std::to_string(k); });
         !s2.ok()) {
@@ -816,7 +813,7 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   }
   if (!push_status.ok()) return push_status;
-  if (Status s2 = governed(); !s2.ok()) return s2;
+  if (Status s2 = options.Check(); !s2.ok()) return s2;
 
   peak = std::max<std::size_t>(peak, totals.joined);
   if (peak_rows != nullptr) *peak_rows = peak;

@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_context.h"
 #include "common/status.h"
 #include "datalog/ast.h"
 #include "relational/database.h"
@@ -86,7 +85,16 @@ class FilterPolicy {
   virtual void Applied(std::size_t rows_after) = 0;
 };
 
-struct CqEvalOptions {
+// The context (common/exec_context.h) drives the scans and the join fold:
+// threads run them morsel-parallel (the parallel scan and join preserve
+// the serial row order, relational/ops.h); metrics get one child node per
+// operator — "scan" per subgoal, then the fold chain ("join" / "select" /
+// "anti_join", plus "semi_join" nodes for full-reducer sweeps), and last
+// the fused final join "join <pred> [fused]" whose "select" and "project"
+// children count the rows passing the fused predicates and the rows
+// projected (a plain "project" node when the body has one positive
+// subgoal); ctx is checked after every operator.
+struct CqEvalOptions : ExecContext {
   // Join order as positions into the query's list of *positive* subgoals
   // (0 = first positive subgoal in text order). Empty means text order.
   std::vector<std::size_t> join_order;
@@ -97,29 +105,6 @@ struct CqEvalOptions {
   // join_order when a join tree exists; silently falls back to the normal
   // fold on cyclic queries.
   bool full_reducer = false;
-  // Workers for the subgoal scans and the join fold (1 = serial). The
-  // result is identical — same rows, same order — for every value: the
-  // parallel scan and join both preserve the serial row order (see
-  // relational/ops.h on ParallelNaturalJoin).
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // evaluation appends one child node per operator it runs — "scan" per
-  // subgoal, then the fold chain ("join" / "select" / "anti_join", plus
-  // "semi_join" nodes for full-reducer sweeps), and last the fused final
-  // join "join <pred> [fused]" whose "select" and "project" children count
-  // the rows passing the fused predicates and the rows projected (a plain
-  // "project" node when the body has one positive subgoal) — each
-  // carrying row counters and wall time. `trace` additionally receives
-  // span begin/end events; it is ignored unless `metrics` is set. Both
-  // pointers must outlive the call. Null (the default) is allocation-free.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h). When non-null every operator
-  // polls the context and charges its output; the evaluation returns the
-  // context's typed error (CANCELLED / DEADLINE_EXCEEDED /
-  // RESOURCE_EXHAUSTED) as soon as it latches, discarding intermediates.
-  // Null (the default) is cost-free.
-  QueryContext* ctx = nullptr;
   // Where the final projected rows go (relational/spill.h). The final
   // join is always fused: each joined row is tested against the
   // still-pending comparisons and negations, projected onto

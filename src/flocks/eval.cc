@@ -50,12 +50,9 @@ Result<Relation> EvaluateFlock(
   // the concurrent evaluations below write disjoint subtrees (the
   // children vector is never resized during the fan-out).
   OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  TraceSink* tr = options.tracer();
   if (m != nullptr && m->op.empty()) m->op = "flock";
   QueryContext* ctx = options.ctx;
-  auto governed = [ctx]() {
-    return ctx != nullptr ? ctx->Check() : Status::Ok();
-  };
 
   const FilterCondition& filter = flock.filter;
   AggKind agg_kind =
@@ -114,8 +111,7 @@ Result<Relation> EvaluateFlock(
     for (const std::string& h : cq.head_vars) wanted.push_back(h);
     CqEvalOptions cq_options;
     if (d < options.per_disjunct.size()) cq_options = options.per_disjunct[d];
-    if (cq_options.threads <= 1) cq_options.threads = options.threads;
-    cq_options.metrics = disjunct_nodes[d];
+    static_cast<ExecContext&>(cq_options) = options.At(disjunct_nodes[d]);
     if (disjunct_nodes[d] != nullptr && !cq_options.join_order.empty()) {
       // A pinned (non-text) join order is a plan decision — the learned
       // optimizer's direct arms pass one — so surface it in the tree.
@@ -126,8 +122,6 @@ Result<Relation> EvaluateFlock(
       }
       disjunct_nodes[d]->detail = order;
     }
-    cq_options.trace = tr;
-    cq_options.ctx = ctx;
     if (n_disjuncts == 1) cq_options.sink = &sink;
     ScopedOp span(disjunct_nodes[d], tr);
     Result<Relation> bindings = EvaluateConjunctiveBindings(
@@ -142,7 +136,7 @@ Result<Relation> EvaluateFlock(
       !s.ok()) {
     return s;
   }
-  if (Status s = governed(); !s.ok()) return s;
+  if (Status s = options.Check(); !s.ok()) return s;
 
   OpMetrics* union_node =
       m != nullptr && n_disjuncts > 1 ? m->AddChild("union") : nullptr;
@@ -174,7 +168,7 @@ Result<Relation> EvaluateFlock(
     grouped = std::move(*g);
     if (node != nullptr && sink.spilled()) node->detail += " [spill]";
   }
-  if (Status s = governed(); !s.ok()) return s;
+  if (Status s = options.Check(); !s.ok()) return s;
   if (union_node != nullptr) union_node->rows_out = sink.answer_rows();
   if (n_disjuncts == 1 && disjunct_nodes[0] != nullptr) {
     disjunct_nodes[0]->rows_out += sink.answer_rows();
@@ -200,7 +194,7 @@ Result<Relation> EvaluateFlock(
     result = Project(grouped, param_columns, node, ctx);
     result.SortRows();
   }
-  if (Status s = governed(); !s.ok()) return s;
+  if (Status s = options.Check(); !s.ok()) return s;
   if (m != nullptr) m->rows_out += result.size();
   result.set_name("flock_result");
   return result;

@@ -24,40 +24,25 @@
 
 namespace qf {
 
-struct FlockEvalOptions {
-  // Per-disjunct join orders; empty means text order everywhere.
+// Under the context (common/exec_context.h), independent disjuncts of a
+// union flock evaluate concurrently on the shared pool and each
+// disjunct's scans and joins before the last run morsel-parallel; the
+// fused final join is serial, and the group-by sink receives the same
+// row sequence at every thread count, so float SUM association is
+// identical too. Metrics get one "disjunct" child per disjunct (holding
+// its CQ tree — pre-allocated before the fan-out, so concurrent
+// disjuncts write disjoint subtrees), then "union" (several disjuncts
+// only) / "group_by" / "filter" / "project" nodes. The group_by node is
+// the GROUP BY + FILTER sink (detail "[spill]" once it spilled); the
+// filter node counts the groups it tested and kept.
+struct FlockEvalOptions : ExecContext {
+  // Per-disjunct plan decisions (join order, full reducer, sink, filter
+  // policy); empty means text order everywhere. Their execution context
+  // is always this one.
   std::vector<CqEvalOptions> per_disjunct;
   // Verify SUM filters only see non-negative weights (the monotonicity
   // precondition of the Future Work section).
   bool require_nonnegative_sum = true;
-  // Workers for the evaluation (1 = serial). With more than one:
-  // independent disjuncts of a union flock evaluate concurrently on the
-  // shared pool (common/thread_pool.h), and each disjunct's scans and
-  // joins before the last run morsel-parallel; the fused final join is
-  // serial. The group-by sink receives
-  // the same row sequence at every value, so the answer set — float SUM
-  // association included — is identical for every value, and the result
-  // relation is returned in canonically sorted row order regardless (see
-  // DESIGN.md, "Threading model").
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // evaluator builds its operator tree under it: one "disjunct" child per
-  // disjunct (holding that disjunct's scans/joins — pre-allocated before
-  // the parallel fan-out, so concurrent disjuncts write disjoint
-  // subtrees), then "union" (several disjuncts only) / "group_by" /
-  // "filter" / "project" nodes. The group_by node is the GROUP BY +
-  // FILTER sink (detail "[spill]" once it spilled); the filter node
-  // counts the groups it tested and kept. Row counters are identical for
-  // every `threads` value; `morsels` and wall times reflect the actual
-  // execution. `trace` receives span events and must be thread-safe; it
-  // is ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): propagated into every
-  // disjunct's CqEvalOptions and into the union/group/filter/project
-  // phases. A latched deadline/cancel/budget failure surfaces as the
-  // context's typed Status. Null (the default) is cost-free.
-  QueryContext* ctx = nullptr;
 };
 
 struct FlockEvalInfo {

@@ -169,7 +169,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
 
   PredicateResolver resolver(db);
   OpMetrics* m = opts.metrics;
-  TraceSink* tr = m != nullptr ? opts.trace : nullptr;
+  TraceSink* tr = opts.tracer();
   std::size_t n_disjuncts = flock.query.disjuncts.size();
   std::vector<OpMetrics*> disjunct_nodes(n_disjuncts, nullptr);
   if (m != nullptr) disjunct_nodes = m->AddChildren(n_disjuncts, "disjunct");
@@ -182,10 +182,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
     std::vector<std::string> wanted = param_columns;
     for (const std::string& h : cq.head_vars) wanted.push_back(h);
     CqEvalOptions cq_options;
-    cq_options.threads = opts.threads;
-    cq_options.metrics = disjunct_nodes[d];
-    cq_options.trace = tr;
-    cq_options.ctx = opts.ctx;
+    static_cast<ExecContext&>(cq_options) = opts.At(disjunct_nodes[d]);
     ScopedOp span(disjunct_nodes[d], tr);
     Result<Relation> bindings =
         EvaluateConjunctiveBindings(cq, resolver, wanted, cq_options);
@@ -197,9 +194,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
       }
       st->AbsorbAnswer(row);
     }
-    if (opts.ctx != nullptr) {
-      if (Status s = opts.ctx->Check(); !s.ok()) return s;
-    }
+    if (Status s = opts.Check(); !s.ok()) return s;
   }
   st->SealBatch();
 
@@ -371,7 +366,6 @@ Status IncrementalEvaluator::Run(const std::string& name,
           changed_names.insert(rel);
         }
         PredicateResolver resolver(db, extra);
-        TraceSink* tr = m != nullptr ? opts.trace : nullptr;
         std::vector<Tuple> staging;
         for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
           const ConjunctiveQuery& cq = flock.query.disjuncts[d];
@@ -385,16 +379,15 @@ Status IncrementalEvaluator::Run(const std::string& name,
             ConjunctiveQuery delta_cq = cq;
             delta_cq.subgoals[j] =
                 Subgoal::Positive(DeltaPredicate(sg.predicate()), sg.args());
+            OpMetrics* node =
+                inc_node == nullptr
+                    ? nullptr
+                    : inc_node->AddChild("disjunct",
+                                         "delta d" + std::to_string(d) + " " +
+                                             sg.predicate());
             CqEvalOptions cq_options;
-            cq_options.threads = opts.threads;
-            cq_options.trace = tr;
-            cq_options.ctx = opts.ctx;
-            if (inc_node != nullptr) {
-              cq_options.metrics = inc_node->AddChild(
-                  "disjunct", "delta d" + std::to_string(d) + " " +
-                                  sg.predicate());
-            }
-            ScopedOp span(cq_options.metrics, tr);
+            static_cast<ExecContext&>(cq_options) = opts.At(node);
+            ScopedOp span(node, cq_options.tracer());
             Result<Relation> bindings = EvaluateConjunctiveBindings(
                 delta_cq, resolver, wanted, cq_options);
             if (!bindings.ok()) return bindings.status();
@@ -402,9 +395,7 @@ Status IncrementalEvaluator::Run(const std::string& name,
             for (const Tuple& row : renamed.rows()) {
               staging.push_back(row);
             }
-            if (opts.ctx != nullptr) {
-              if (Status s = opts.ctx->Check(); !s.ok()) return s;
-            }
+            if (Status s = opts.Check(); !s.ok()) return s;
           }
         }
         // Pre-scan the staged rows BEFORE absorbing: a SUM violation must

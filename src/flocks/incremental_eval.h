@@ -32,8 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_context.h"
 #include "common/status.h"
 #include "flocks/flock.h"
 #include "mining/incremental.h"
@@ -41,18 +40,12 @@
 
 namespace qf {
 
-struct IncrementalEvalOptions {
-  // Workers for build/delta binding evaluation (1 = serial). Served
-  // results are identical for every value (the engine contract).
-  unsigned threads = 1;
-  // Observability: when `metrics` is set the run appends an
-  // "incremental" node (decision + state size; one "delta" child per
-  // changed relation with its delta row count) plus the usual disjunct
-  // subtrees for build/delta evaluations.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Per-statement governor for the evaluation work (transient charges).
-  QueryContext* ctx = nullptr;
+// The build and delta evaluations run under the context
+// (common/exec_context.h); its governor takes their transient charges.
+// With metrics set the run appends an "incremental" node (decision +
+// state size; one "delta" child per changed relation with its delta row
+// count) plus the usual disjunct subtrees for build/delta evaluations.
+struct IncrementalEvalOptions : ExecContext {
   // Session memory budget ALL persistent flock states are held against,
   // pooled (the shell passes SET MEMORY's bytes; 0 = unlimited). When a
   // state's projected footprint would overflow the pool, *other* cached

@@ -21,7 +21,6 @@ class DynamicPolicy : public FilterPolicy {
   DynamicPolicy(const DynamicOptions& options, double threshold,
                 const std::vector<std::string>& head_vars, DynamicLog& log)
       : options_(options),
-        trace_(options.metrics != nullptr ? options.trace : nullptr),
         threshold_(threshold),
         head_vars_(head_vars),
         log_(log) {}
@@ -60,7 +59,7 @@ class DynamicPolicy : public FilterPolicy {
                         ctx, gnode);
     Result<Relation> passing = Relation();
     {
-      ScopedOp gspan(gnode, trace_);
+      ScopedOp gspan(gnode, options_.tracer());
       std::vector<Value> row(cols.size());
       for (const Tuple& t : point.rows) {
         for (std::size_t i = 0; i < cols.size(); ++i) row[i] = t[cols[i]];
@@ -145,7 +144,6 @@ class DynamicPolicy : public FilterPolicy {
 
  private:
   const DynamicOptions& options_;
-  TraceSink* trace_;
   double threshold_;
   const std::vector<std::string>& head_vars_;
   DynamicLog& log_;
@@ -173,13 +171,11 @@ Result<Relation> DynamicEvaluate(
   DynamicLog& out_log = log != nullptr ? *log : local_log;
   DynamicPolicy policy(options, flock.filter.threshold,
                        flock.query.disjuncts.front().head_vars, out_log);
-  FlockEvalOptions eval_options{
-      .per_disjunct = {{.join_order = options.join_order,
-                        .filter_policy = &policy}},
-      .threads = options.threads,
-      .metrics = options.metrics,
-      .trace = options.trace,
-      .ctx = options.ctx};
+  FlockEvalOptions eval_options;
+  static_cast<ExecContext&>(eval_options) = options;
+  eval_options.per_disjunct.resize(1);
+  eval_options.per_disjunct[0].join_order = options.join_order;
+  eval_options.per_disjunct[0].filter_policy = &policy;
   if (options.metrics != nullptr && options.metrics->op.empty()) {
     options.metrics->op = "dynamic";
   }

@@ -34,15 +34,20 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_context.h"
 #include "common/status.h"
 #include "flocks/flock.h"
 #include "relational/database.h"
 
 namespace qf {
 
-struct DynamicOptions {
+// Runs under the context (common/exec_context.h) as EvaluateFlock does:
+// the flock evaluator's tree, with one "dyn_filter" node per decision
+// point inside the disjunct (its "group_by" child is the group-count
+// pass, a "semi_join" child the applied filter). The governor polls the
+// decision points too, and the group counts and the root sink spill
+// under its spill grant.
+struct DynamicOptions : ExecContext {
   // Join order over the positive subgoals; empty = text order (callers
   // typically pass ChooseJoinOrder's output).
   std::vector<std::size_t> join_order;
@@ -59,22 +64,6 @@ struct DynamicOptions {
   // §4.4 made operational: a mean ratio below threshold does not help if
   // the mass sits in a few huge groups.
   double min_removed_fraction = 0.2;
-  // Worker threads for the scans and the intermediate joins, which run
-  // morsel-parallel as in EvaluateFlock (1 = serial; results are
-  // identical for every value).
-  unsigned threads = 1;
-  // Observability (common/metrics.h): the flock evaluator's tree, with one
-  // "dyn_filter" node per decision point inside the disjunct (its
-  // "group_by" child is the group-count pass, a "semi_join" child the
-  // applied filter). `trace` receives span events; ignored unless
-  // `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): polled by every operator in
-  // the fold, the decision points included, so a runaway dynamic
-  // evaluation aborts with the context's typed Status; the group counts
-  // and the root sink spill under the context's spill grant.
-  QueryContext* ctx = nullptr;
 };
 
 struct DynamicDecision {

@@ -36,10 +36,11 @@ StepOrderChooser CostBasedOrderChooser(CostModelConfig config) {
 Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const QueryFlock& flock,
                                       const Database& db,
-                                      PlanExecInfo* info, unsigned threads) {
+                                      PlanExecInfo* info,
+                                      const ExecContext& exec) {
   PlanExecOptions options;
+  static_cast<ExecContext&>(options) = exec;
   options.order_chooser = CostBasedOrderChooser();
-  options.threads = threads;
   return ExecutePlan(plan, flock, db, options, info);
 }
 
@@ -61,21 +62,15 @@ Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
       if (!searched.ok()) return searched.status();
       plan = std::move(*searched);
       PlanExecOptions plan_options;
+      static_cast<ExecContext&>(plan_options) = options;
       plan_options.order_chooser = CostBasedOrderChooser();
       plan_options.extra_predicates = options.extra_predicates;
-      plan_options.threads = options.threads;
-      plan_options.metrics = metrics;
-      plan_options.trace = options.trace;
-      plan_options.ctx = options.ctx;
       result = ExecutePlan(*plan, flock, db, plan_options);
       break;
     }
     case BanditArm::Kind::kDirect: {
       FlockEvalOptions eval_options;
-      eval_options.threads = options.threads;
-      eval_options.metrics = metrics;
-      eval_options.trace = options.trace;
-      eval_options.ctx = options.ctx;
+      static_cast<ExecContext&>(eval_options) = options;
       for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
         CqEvalOptions cq_options;
         if (d < arm.orders.size()) cq_options.join_order = arm.orders[d];
@@ -87,14 +82,11 @@ Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
     }
     case BanditArm::Kind::kDynamic: {
       DynamicOptions dyn_options;
+      static_cast<ExecContext&>(dyn_options) = options;
       if (!arm.orders.empty()) dyn_options.join_order = arm.orders.front();
       dyn_options.aggressiveness = arm.knobs.aggressiveness;
       dyn_options.improvement_factor = arm.knobs.improvement_factor;
       dyn_options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      dyn_options.threads = options.threads;
-      dyn_options.metrics = metrics;
-      dyn_options.trace = options.trace;
-      dyn_options.ctx = options.ctx;
       result = DynamicEvaluate(flock, db, dyn_options, options.dynamic_log,
                                options.extra_predicates);
       break;

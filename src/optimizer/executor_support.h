@@ -24,14 +24,13 @@ namespace qf {
 // materialized step relations are computed per call (they are small).
 StepOrderChooser CostBasedOrderChooser(CostModelConfig config = {});
 
-// Convenience wrapper: ExecutePlan with cost-based join ordering.
-// `threads` is PlanExecOptions::threads (1 = serial; any value yields the
-// same result).
+// Convenience wrapper: ExecutePlan with cost-based join ordering, under
+// `exec` (any thread count yields the same result).
 Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const QueryFlock& flock,
                                       const Database& db,
                                       PlanExecInfo* info = nullptr,
-                                      unsigned threads = 1);
+                                      const ExecContext& exec = {});
 
 // Yields the cost model on demand. ExecuteArm calls it only when the arm
 // needs one — kPlan's plan search, or estimate annotations while metrics
@@ -39,15 +38,11 @@ Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
 // computes statistics lazily) pays nothing for the other runs.
 using CostModelSource = std::function<Result<const CostModel*>()>;
 
-struct ArmExecOptions {
-  // Workers (1 = serial; every value yields the same result).
-  unsigned threads = 1;
-  // The arm's evaluator builds its operator tree under `metrics`; for
-  // support-style filters the node also gets the model's survivor
-  // estimate, and each kPlan step child its step's estimate.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  QueryContext* ctx = nullptr;
+// The arm's evaluator runs under the context (common/exec_context.h) and
+// builds its operator tree under `metrics`; for support-style filters
+// the node also gets the model's survivor estimate, and each kPlan step
+// child its step's estimate.
+struct ArmExecOptions : ExecContext {
   // Intermediate-predicate overlays (materialized DEFINE views).
   const std::map<std::string, const Relation*>* extra_predicates = nullptr;
   // Receives the §4.4 decision log of kDynamic arms.

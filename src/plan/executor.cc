@@ -46,7 +46,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
   // order, before any wave fans out — concurrent steps then write
   // disjoint, stably addressed subtrees.
   OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  TraceSink* tr = options.tracer();
   if (m != nullptr && m->op.empty()) m->op = "plan";
   std::vector<OpMetrics*> step_nodes(n_steps, nullptr);
   if (m != nullptr) {
@@ -98,10 +98,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
       } else if (k < options.per_step.size()) {
         eval_options = options.per_step[k];
       }
-      if (eval_options.threads <= 1) eval_options.threads = options.threads;
-      eval_options.metrics = step_nodes[k];
-      eval_options.trace = tr;
-      eval_options.ctx = options.ctx;
+      static_cast<ExecContext&>(eval_options) = options.At(step_nodes[k]);
       wave_options[k - done] = std::move(eval_options);
     }
 
@@ -134,9 +131,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
           return Status::Ok();
         });
     if (!wave_status.ok()) return wave_status;
-    if (options.ctx != nullptr) {
-      if (Status s = options.ctx->Check(); !s.ok()) return s;
-    }
+    if (Status s = options.Check(); !s.ok()) return s;
 
     // Publish the wave's results for later waves (single-threaded again).
     for (std::size_t k = done; k < wave_end; ++k) {
@@ -162,9 +157,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
   Relation normalized = Project(materialized[n_steps - 1],
                                 FlockParameterColumns(flock), node,
                                 options.ctx);
-  if (options.ctx != nullptr) {
-    if (Status s = options.ctx->Check(); !s.ok()) return s;
-  }
+  if (Status s = options.Check(); !s.ok()) return s;
   normalized.SortRows();
   if (m != nullptr) m->rows_out += normalized.size();
   normalized.set_name("flock_result");

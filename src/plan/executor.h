@@ -44,9 +44,19 @@ using StepOrderChooser = std::function<FlockEvalOptions(
     const UnionQuery& step_query, const Database& db,
     const std::map<std::string, const Relation*>& extra)>;
 
-struct PlanExecOptions {
+// Under the context (common/exec_context.h), steps that do not reference
+// each other's results evaluate concurrently in dependency waves on the
+// shared pool, and each step's flock evaluation runs under the same
+// context; the result and every per-step materialization are identical
+// for every thread count. Metrics get one "step" child per plan step (in
+// plan order, pre-allocated before each wave fans out) holding that
+// step's flock tree, plus a final "project" child. The governor is also
+// checked between waves, so a latched failure stops the plan before the
+// next wave starts.
+struct PlanExecOptions : ExecContext {
   // Join orders for each step (index-aligned with plan.steps); missing
-  // entries mean text order. Each entry holds per-disjunct CQ options.
+  // entries mean text order. Each entry holds per-disjunct CQ options;
+  // its execution context is ignored (the steps run under this one).
   std::vector<FlockEvalOptions> per_step;
   // When set, overrides per_step: called once per step with the
   // materialized prior-step relations available.
@@ -65,26 +75,6 @@ struct PlanExecOptions {
   // Verify legality before executing (recommended; turn off only in
   // benches that check it once outside the timed region).
   bool check_legal = true;
-  // Workers for plan execution (1 = serial). With more than one, steps
-  // that do not reference each other's results evaluate concurrently in
-  // dependency waves on the shared pool, and each step's flock evaluation
-  // inherits the knob (FlockEvalOptions::threads). The executed plan's
-  // result — and every per-step materialization — is identical for every
-  // value; see DESIGN.md, "Threading model".
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // executor builds one "step" child per plan step (in plan order,
-  // pre-allocated before each wave fans out, so concurrent steps write
-  // disjoint subtrees) plus a final "project" child; each step child
-  // holds that step's flock-evaluation tree. `trace` receives span events
-  // and must be thread-safe; ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): propagated into every step's
-  // flock evaluation and checked between dependency waves, so a latched
-  // deadline/cancel/budget failure stops the plan before the next wave
-  // starts and surfaces as the context's typed Status.
-  QueryContext* ctx = nullptr;
 };
 
 // Executes `plan` for `flock` over `db`. The result matches

@@ -392,10 +392,7 @@ StatementOutcome Shell::ExecuteScript(std::string_view script) {
   for (std::size_t i = 0; i < statements.size(); ++i) {
     Result<std::string> result = Execute(statements[i]);
     if (!result.ok()) {
-      outcome.status = Status(
-          result.status().code(),
-          "statement " + std::to_string(i + 1) + " (line " +
-              std::to_string(lines[i]) + "): " + result.status().message());
+      outcome.status = StatementError(i + 1, lines[i], result.status());
       return outcome;
     }
     outcome.output += *result;
@@ -742,11 +739,10 @@ Result<Shell::FlockRun> Shell::RunFlock(const std::string& name,
     // child in place and the fallback's operator tree goes next to it.
     QueryContext ictx;
     ConfigureContext(ictx);
-    IncrementalEvalOptions iopts{.threads = threads,
-                                 .metrics = metrics,
-                                 .trace = trace_sink_.get(),
-                                 .ctx = &ictx,
-                                 .state_budget = memory_bytes_};
+    IncrementalEvalOptions iopts;
+    static_cast<ExecContext&>(iopts) = {threads, metrics, trace_sink_.get(),
+                                        &ictx};
+    iopts.state_budget = memory_bytes_;
     Relation served;
     IncrementalRunInfo rinfo;
     if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
@@ -797,12 +793,11 @@ Result<Shell::FlockRun> Shell::RunFlock(const std::string& name,
   }
 
   DynamicLog log;
-  ArmExecOptions options{.threads = threads,
-                         .metrics = metrics,
-                         .trace = trace_sink_.get(),
-                         .ctx = &ctx,
-                         .extra_predicates = &extra,
-                         .dynamic_log = render_dynamic ? &log : nullptr};
+  ArmExecOptions options;
+  static_cast<ExecContext&>(options) = {threads, metrics, trace_sink_.get(),
+                                        &ctx};
+  options.extra_predicates = &extra;
+  options.dynamic_log = render_dynamic ? &log : nullptr;
   auto start = std::chrono::steady_clock::now();
   Result<Relation> result = ExecuteArm(
       arm, flock, db(), [this] { return Model(); }, options);

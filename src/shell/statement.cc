@@ -73,6 +73,13 @@ std::vector<std::string> SplitStatements(std::string_view script,
   return statements;
 }
 
+Status StatementError(std::size_t index, std::size_t line,
+                      const Status& status) {
+  return Status(status.code(), "statement " + std::to_string(index) +
+                                   " (line " + std::to_string(line) +
+                                   "): " + status.message());
+}
+
 StatementOutcome ExecuteStatement(Shell& shell, std::string_view statement) {
   Result<std::string> result = shell.Execute(statement);
   if (!result.ok()) return {result.status(), ""};

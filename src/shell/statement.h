@@ -25,6 +25,13 @@ namespace qf {
 std::vector<std::string> SplitStatements(
     std::string_view script, std::vector<std::size_t>* lines = nullptr);
 
+// The error of a script's `index`-th statement (1-based), which starts at
+// `line`: "statement <index> (line <line>): <message>", keeping the
+// status code. Every script front end (qfshell, qfclient) reports a
+// failing statement this way.
+Status StatementError(std::size_t index, std::size_t line,
+                      const Status& status);
+
 // Executes one statement against `shell` (exactly Shell::Execute, in
 // outcome form; the output is empty on error). The shell object stays
 // usable after errors.

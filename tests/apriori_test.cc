@@ -80,8 +80,10 @@ TEST(AprioriTest, LevelwiseFindsTriples) {
                               {"a", "b", "c"},
                               {"a", "b"},
                               {"d"}});
-  std::vector<Itemset> all =
-      AprioriFrequentItemsets(data, {.min_support = 3, .max_size = 0});
+  AprioriOptions options;
+  options.min_support = 3;
+  options.max_size = 0;
+  std::vector<Itemset> all = AprioriFrequentItemsets(data, options);
   // Frequent: a(4) b(4) c(3) ab(4) ac(3) bc(3) abc(3).
   EXPECT_EQ(all.size(), 7u);
   bool found_triple = false;
@@ -96,8 +98,10 @@ TEST(AprioriTest, LevelwiseFindsTriples) {
 
 TEST(AprioriTest, MaxSizeStopsEarly) {
   BasketData data = MakeData({{"a", "b", "c"}, {"a", "b", "c"}});
-  std::vector<Itemset> capped =
-      AprioriFrequentItemsets(data, {.min_support = 2, .max_size = 2});
+  AprioriOptions options;
+  options.min_support = 2;
+  options.max_size = 2;
+  std::vector<Itemset> capped = AprioriFrequentItemsets(data, options);
   for (const Itemset& s : capped) EXPECT_LE(s.items.size(), 2u);
 }
 
@@ -106,8 +110,9 @@ TEST(AprioriTest, SupportMonotoneAcrossLevels) {
                       .zipf_theta = 1.0, .seed = 32};
   auto data = BasketsFromRelation(GenerateBaskets(config), "BID", "Item");
   ASSERT_TRUE(data.ok());
-  std::vector<Itemset> all =
-      AprioriFrequentItemsets(*data, {.min_support = 5});
+  AprioriOptions options;
+  options.min_support = 5;
+  std::vector<Itemset> all = AprioriFrequentItemsets(*data, options);
   // Every itemset's support must be <= the support of each of its items.
   std::map<ItemId, std::size_t> singleton_support;
   for (const Itemset& s : all) {
@@ -126,7 +131,9 @@ TEST(AprioriTest, StatsShowPruning) {
   auto data = BasketsFromRelation(GenerateBaskets(config), "BID", "Item");
   ASSERT_TRUE(data.ok());
   AprioriStats stats;
-  AprioriFrequentItemsets(*data, {.min_support = 20}, &stats);
+  AprioriOptions options;
+  options.min_support = 20;
+  AprioriFrequentItemsets(*data, options, &stats);
   ASSERT_GE(stats.candidates_per_level.size(), 2u);
   std::size_t frequent_items = stats.frequent_per_level[0];
   // Level-2 candidates come only from frequent items: at most C(f,2),
@@ -176,7 +183,9 @@ TEST(AprioriTest, ItemsetsToRelationShapesOutput) {
 
 TEST(AprioriTest, EmptyDataYieldsNothing) {
   BasketData data;
-  EXPECT_TRUE(AprioriFrequentItemsets(data, {.min_support = 1}).empty());
+  AprioriOptions options;
+  options.min_support = 1;
+  EXPECT_TRUE(AprioriFrequentItemsets(data, options).empty());
   EXPECT_TRUE(NaiveFrequentPairs(data, 1).empty());
 }
 

@@ -136,8 +136,10 @@ TEST(JoinOrderInteractionTest, NegationAppliedMidFoldIsCorrect) {
       "answer(Z) :- q(X,$p) AND r($p,Z) AND NOT s(X,$p)",
       FilterCondition::MinSupport(1));
   FlockEvalOptions forward, backward;
-  forward.per_disjunct.push_back({.join_order = {0, 1}});
-  backward.per_disjunct.push_back({.join_order = {1, 0}});
+  forward.per_disjunct.resize(1);
+  forward.per_disjunct[0].join_order = {0, 1};
+  backward.per_disjunct.resize(1);
+  backward.per_disjunct[0].join_order = {1, 0};
   auto a = EvaluateFlock(f, db, forward);
   auto b = EvaluateFlock(f, db, backward);
   ASSERT_TRUE(a.ok()) << a.status().ToString();

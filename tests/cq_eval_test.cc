@@ -161,10 +161,11 @@ TEST(CqEvalTest, ExplicitJoinOrderSameResult) {
   ConjunctiveQuery cq =
       Parse("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2");
   PredicateResolver resolver(db);
-  auto a = EvaluateConjunctiveBindings(cq, resolver, {"$1", "$2"},
-                                       {.join_order = {0, 1}});
-  auto b = EvaluateConjunctiveBindings(cq, resolver, {"$1", "$2"},
-                                       {.join_order = {1, 0}});
+  CqEvalOptions forward, backward;
+  forward.join_order = {0, 1};
+  backward.join_order = {1, 0};
+  auto a = EvaluateConjunctiveBindings(cq, resolver, {"$1", "$2"}, forward);
+  auto b = EvaluateConjunctiveBindings(cq, resolver, {"$1", "$2"}, backward);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   a->SortRows();
@@ -244,14 +245,15 @@ TEST(CqEvalErrorTest, BadJoinOrderRejected) {
   PredicateResolver resolver(db);
   ConjunctiveQuery cq =
       Parse("answer(B) :- baskets(B,$1) AND baskets(B,$2)");
-  auto r1 = EvaluateConjunctiveBindings(cq, resolver, {"B"},
-                                        {.join_order = {0}});
+  CqEvalOptions options;
+  options.join_order = {0};
+  auto r1 = EvaluateConjunctiveBindings(cq, resolver, {"B"}, options);
   EXPECT_FALSE(r1.ok());
-  auto r2 = EvaluateConjunctiveBindings(cq, resolver, {"B"},
-                                        {.join_order = {0, 0}});
+  options.join_order = {0, 0};
+  auto r2 = EvaluateConjunctiveBindings(cq, resolver, {"B"}, options);
   EXPECT_FALSE(r2.ok());
-  auto r3 = EvaluateConjunctiveBindings(cq, resolver, {"B"},
-                                        {.join_order = {0, 2}});
+  options.join_order = {0, 2};
+  auto r3 = EvaluateConjunctiveBindings(cq, resolver, {"B"}, options);
   EXPECT_FALSE(r3.ok());
 }
 

@@ -110,8 +110,10 @@ TEST(ItemsetPlanTest, TriplesMatchDirectAndApriori) {
 
   auto data = BasketsFromRelation(db.Get("baskets"), "BID", "Item");
   ASSERT_TRUE(data.ok());
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(*data, {.min_support = 6, .max_size = 3});
+  AprioriOptions options;
+  options.min_support = 6;
+  options.max_size = 3;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(*data, options);
   std::size_t triples = 0;
   for (const Itemset& s : frequent) {
     if (s.items.size() != 3) continue;

@@ -556,8 +556,10 @@ TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
   }
   for (const BanditArm& arm : arms) {
     for (unsigned threads : {0u, 1u, 4u}) {
-      Result<Relation> got = ExecuteArm(arm, flock, db, [&] { return &model; },
-                                        {.threads = threads});
+      ArmExecOptions options;
+      options.threads = threads;
+      Result<Relation> got =
+          ExecuteArm(arm, flock, db, [&] { return &model; }, options);
       ASSERT_TRUE(got.ok())
           << arm.id << " threads=" << threads << ": "
           << got.status().ToString();
@@ -594,8 +596,9 @@ TEST(LearnedDifferentialTest, ExecuteArmAsksForModelOnlyWhenNeeded) {
 
   calls = 0;
   OpMetrics root;
-  ASSERT_TRUE(
-      ExecuteArm(arm("DIRECT"), flock, db, source, {.metrics = &root}).ok());
+  ArmExecOptions options;
+  options.metrics = &root;
+  ASSERT_TRUE(ExecuteArm(arm("DIRECT"), flock, db, source, options).ok());
   EXPECT_EQ(calls, 1);
   EXPECT_DOUBLE_EQ(root.est_rows, model.EstimateSurvivors(flock.query, 4));
   EXPECT_FALSE(ArmForMode("SIDEWAYS", DynamicKnobs{}).ok());

@@ -94,8 +94,9 @@ TEST_P(MaximalProperty, MatchesBruteForce) {
   // Brute force from the miner.
   auto data = BasketsFromRelation(db.Get("baskets"), "BID", "Item");
   ASSERT_TRUE(data.ok());
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(*data, {.min_support = support});
+  AprioriOptions options;
+  options.min_support = support;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(*data, options);
   std::set<std::vector<ItemId>> frequent_sets;
   for (const Itemset& s : frequent) frequent_sets.insert(s.items);
   std::set<Tuple> expected;

@@ -31,8 +31,9 @@ BasketData BeerDiapers() {
 
 TEST(RulesTest, ConfidenceAndInterestComputed) {
   BasketData data = BeerDiapers();
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(data, {.min_support = 4});
+  AprioriOptions options;
+  options.min_support = 4;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(data, options);
   std::vector<AssociationRule> rules =
       DeriveRules(data, frequent, {.min_confidence = 0.0});
   // From {beer, diapers}: beer -> diapers and diapers -> beer.
@@ -54,8 +55,9 @@ TEST(RulesTest, ConfidenceAndInterestComputed) {
 
 TEST(RulesTest, MinConfidenceFilters) {
   BasketData data = BeerDiapers();
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(data, {.min_support = 4});
+  AprioriOptions options;
+  options.min_support = 4;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(data, options);
   std::vector<AssociationRule> rules =
       DeriveRules(data, frequent, {.min_confidence = 0.9});
   ASSERT_EQ(rules.size(), 1u);  // only beer -> diapers (conf 1.0)
@@ -71,8 +73,9 @@ TEST(RulesTest, InterestDeviationFilters) {
   for (int i = 0; i < 4; ++i) baskets.push_back({"bread"});
   // P(bread) = 8/12; conf(milk -> bread) = 4/8 = 0.5; interest = 0.75.
   BasketData data = MakeData(baskets);
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(data, {.min_support = 4});
+  AprioriOptions options;
+  options.min_support = 4;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(data, options);
   std::vector<AssociationRule> loose =
       DeriveRules(data, frequent, {.min_confidence = 0.0});
   EXPECT_EQ(loose.size(), 2u);
@@ -86,8 +89,9 @@ TEST(RulesTest, TriplesYieldThreeRulesEach) {
   std::vector<std::vector<std::string>> baskets;
   for (int i = 0; i < 5; ++i) baskets.push_back({"a", "b", "c"});
   BasketData data = MakeData(baskets);
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(data, {.min_support = 5});
+  AprioriOptions options;
+  options.min_support = 5;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(data, options);
   std::vector<AssociationRule> rules =
       DeriveRules(data, frequent, {.min_confidence = 0.0});
   // {a,b}, {a,c}, {b,c} give 2 rules each; {a,b,c} gives 3 more.
@@ -99,8 +103,9 @@ TEST(RulesTest, TriplesYieldThreeRulesEach) {
 
 TEST(RulesTest, RuleToStringFormat) {
   BasketData data = BeerDiapers();
-  std::vector<Itemset> frequent =
-      AprioriFrequentItemsets(data, {.min_support = 4});
+  AprioriOptions options;
+  options.min_support = 4;
+  std::vector<Itemset> frequent = AprioriFrequentItemsets(data, options);
   std::vector<AssociationRule> rules =
       DeriveRules(data, frequent, {.min_confidence = 0.9});
   ASSERT_EQ(rules.size(), 1u);

@@ -95,6 +95,20 @@ TEST(ExecuteStatementTest, MatchesShellExecuteOnError) {
   EXPECT_TRUE(outcome.output.empty());
 }
 
+TEST(StatementErrorTest, NamesTheStatementAndKeepsTheCode) {
+  Status error =
+      StatementError(2, 7, NotFoundError("no flock named missing"));
+  EXPECT_EQ(error.code(), StatusCode::kNotFound);
+  EXPECT_EQ(error.message(), "statement 2 (line 7): no flock named missing");
+  // The script path and the helper agree on the same failure.
+  Shell shell;
+  StatementOutcome out = shell.ExecuteScript("HELP;\n\nRUN missing; HELP;");
+  EXPECT_EQ(out.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(out.status.message(),
+            StatementError(2, 3, NotFoundError("no flock named missing"))
+                .message());
+}
+
 TEST(ExecuteStatementTest, ShellStaysUsableAfterError) {
   Shell shell;
   EXPECT_FALSE(ExecuteStatement(shell, "NOT A STATEMENT").ok());

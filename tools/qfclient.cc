@@ -17,13 +17,15 @@
 //
 // Statements execute in the server session this process holds; output is
 // printed as the serial qfshell would print it. The first error stops the
-// run and is reported with its typed status (exit 1).
+// run and is reported with its typed status, prefixed with the failing
+// statement's index and line as qfshell does (exit 1).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "network/client.h"
@@ -40,10 +42,13 @@ int Usage(const char* argv0) {
 }
 
 int RunScript(qf::Client& client, const std::string& script) {
-  for (const std::string& statement : qf::SplitStatements(script)) {
-    qf::Result<std::string> output = client.Execute(statement);
+  std::vector<std::size_t> lines;
+  std::vector<std::string> statements = qf::SplitStatements(script, &lines);
+  for (std::size_t i = 0; i < statements.size(); ++i) {
+    qf::Result<std::string> output = client.Execute(statements[i]);
     if (!output.ok()) {
-      std::fprintf(stderr, "error: %s\n", output.status().ToString().c_str());
+      qf::Status error = qf::StatementError(i + 1, lines[i], output.status());
+      std::fprintf(stderr, "error: %s\n", error.ToString().c_str());
       return 1;
     }
     std::fputs(output->c_str(), stdout);
