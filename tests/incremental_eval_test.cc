@@ -8,11 +8,14 @@
 
 #include <cstdint>
 #include <map>
+#include <random>
+#include <set>
 #include <string>
 
 #include "common/vfs.h"
 #include "flocks/eval.h"
 #include "flocks/incremental_eval.h"
+#include "generated_flocks.h"
 #include "incremental_diff_harness.h"
 #include "mining/incremental.h"
 #include "relational/database.h"
@@ -617,6 +620,95 @@ TEST(IncrementalEvalApiTest, UnrelatedRelationChangeStaysCached) {
   // And the refreshed generation makes the next probe cheap again.
   ASSERT_NE(inc.state("pairs"), nullptr);
   EXPECT_EQ(inc.state("pairs")->last_generation(), db.generation());
+}
+
+// --- generated flocks: every served result equals the direct evaluator ---
+
+// The threshold one step toward fewer survivors (`dir` = 1) or more
+// (`dir` = -1): up for >= / >, down for <= / <.
+QueryFlock MoveThreshold(const QueryFlock& flock, int dir) {
+  QueryFlock moved = flock;
+  bool upper = flock.filter.cmp == CompareOp::kLe ||
+               flock.filter.cmp == CompareOp::kLt;
+  moved.filter.threshold += upper ? -dir : dir;
+  return moved;
+}
+
+// The flocks of FusedPipelineTest.GeneratedFlocksMatchTheKernelReference,
+// run through build, random appends to their relations (positive and
+// negated alike), threshold tightening and loosening, and appends again.
+// After every step a served result must equal EvaluateFlock on the current
+// database; an unserved one must name why.
+TEST(IncrementalGeneratedTest, AppendsAndThresholdMovesMatchDirect) {
+  static const char* kRelations[] = {"r", "s", "u", "t"};
+  std::map<std::string, Relation> no_views;
+  std::size_t checked = 0, multi_deltas = 0, negated_rebuilds = 0;
+  std::size_t threshold_rebuilds = 0;
+  std::set<FilterAgg> delta_aggs;
+  for (unsigned seed = 1; checked < 150 && seed < 5000; ++seed) {
+    FlockGenerator gen(seed);
+    const Database base = RandomDatabase(gen.rng());
+    Result<QueryFlock> flock = gen.Next();
+    if (!flock.ok()) continue;
+    ++checked;
+    for (unsigned threads : {0u, 1u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads) + ": " + flock->ToString());
+      Database db = base;
+      std::mt19937 rng(seed);
+      IncrementalEvaluator inc;
+      IncrementalEvalOptions opts;
+      opts.threads = threads;
+      auto run = [&](const QueryFlock& f) {
+        Relation served;
+        IncrementalRunInfo info;
+        Status s = inc.Run("g", f, db, no_views, opts, &served, &info);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        if (!info.served) {
+          EXPECT_TRUE(info.decision.starts_with("unsupported(") ||
+                      info.decision.starts_with("rebuild("))
+              << info.decision;
+          return info.decision;
+        }
+        FlockEvalOptions direct_opts;
+        direct_opts.threads = threads;
+        Result<Relation> direct = EvaluateFlock(f, db, direct_opts);
+        EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+        if (direct.ok()) {
+          EXPECT_EQ(served.schema().columns(), direct->schema().columns());
+          EXPECT_EQ(served.rows(), direct->rows()) << info.decision;
+        }
+        return info.decision;
+      };
+      auto append_and_run = [&](const QueryFlock& f) {
+        const std::string rel = kRelations[rng() % 4];
+        Relation delta =
+            RandomRelation(rng, "d", db.Get(rel).schema().columns(),
+                           1 + static_cast<int>(rng() % 4), 6);
+        ApiAppend(inc, db, rel, delta);
+        std::string decision = run(f);
+        if (decision.starts_with("delta(")) {
+          delta_aggs.insert(f.filter.agg);
+          if (f.query.disjuncts.size() > 1) ++multi_deltas;
+        }
+        if (decision == "rebuild(negated)") ++negated_rebuilds;
+      };
+      run(*flock);
+      for (int i = 0; i < 3; ++i) append_and_run(*flock);
+      QueryFlock tight = MoveThreshold(*flock, 1);
+      run(tight);
+      append_and_run(tight);
+      if (run(*flock) == "rebuild(threshold)") ++threshold_rebuilds;
+      append_and_run(*flock);
+    }
+  }
+  // The generator must reach every aggregate on the delta path, unions,
+  // negated-relation appends and loosened thresholds.
+  EXPECT_EQ(checked, 150u);
+  EXPECT_EQ(delta_aggs.size(), 4u);
+  EXPECT_GT(multi_deltas, 10u);
+  EXPECT_GT(negated_rebuilds, 10u);
+  EXPECT_GT(threshold_rebuilds, 10u);
 }
 
 // --- quick differential schedules (the full sweep is the slow suite) ---
