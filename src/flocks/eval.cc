@@ -17,6 +17,43 @@ std::vector<std::string> FlockParameterColumns(const QueryFlock& flock) {
   return out;
 }
 
+FlockAnswerLayout FlockAnswerColumns(const QueryFlock& flock) {
+  FlockAnswerLayout layout;
+  layout.params = FlockParameterColumns(flock);
+  layout.columns = layout.params;
+  for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
+    layout.columns.push_back("_h" + std::to_string(i));
+  }
+  const FilterCondition& filter = flock.filter;
+  switch (filter.agg) {
+    case FilterAgg::kCount: return layout;
+    case FilterAgg::kSum: layout.kind = AggKind::kSum; break;
+    case FilterAgg::kMin: layout.kind = AggKind::kMin; break;
+    case FilterAgg::kMax: layout.kind = AggKind::kMax; break;
+  }
+  layout.agg_idx = layout.params.size() + filter.agg_head_index;
+  layout.agg_column = layout.columns[layout.agg_idx];
+  return layout;
+}
+
+std::vector<std::string> FlockAnswerLayout::DisjunctColumns(
+    const ConjunctiveQuery& cq) const {
+  std::vector<std::string> out = params;
+  out.insert(out.end(), cq.head_vars.begin(), cq.head_vars.end());
+  return out;
+}
+
+Status FlockAnswerLayout::CheckRow(std::span<const Value> row) const {
+  if (kind != AggKind::kSum) return Status::Ok();
+  const Value& w = row[agg_idx];
+  if (!w.IsNumeric() || w.AsNumber() < 0) {
+    return FailedPreconditionError(
+        "SUM filter saw a negative or non-numeric weight; monotone "
+        "pruning would be unsound");
+  }
+  return Status::Ok();
+}
+
 Result<Relation> EvaluateFlock(
     const QueryFlock& flock, const Database& db,
     const FlockEvalOptions& options,
@@ -29,18 +66,7 @@ Result<Relation> EvaluateFlock(
   }
   if (Status s = flock.Validate(); !s.ok()) return s;
 
-  std::vector<std::string> param_columns = FlockParameterColumns(flock);
-  std::size_t head_arity = flock.query.head_arity();
-
-  // Canonical head column names, so disjuncts with differently named head
-  // variables (Fig. 4) union cleanly.
-  std::vector<std::string> canonical_heads;
-  for (std::size_t i = 0; i < head_arity; ++i) {
-    canonical_heads.push_back("_h" + std::to_string(i));
-  }
-  std::vector<std::string> answer_columns = param_columns;
-  answer_columns.insert(answer_columns.end(), canonical_heads.begin(),
-                        canonical_heads.end());
+  const FlockAnswerLayout layout = FlockAnswerColumns(flock);
 
   PredicateResolver resolver =
       extra != nullptr ? PredicateResolver(db, *extra)
@@ -55,42 +81,23 @@ Result<Relation> EvaluateFlock(
   QueryContext* ctx = options.ctx;
 
   const FilterCondition& filter = flock.filter;
-  AggKind agg_kind =
-      filter.agg == FilterAgg::kCount
-          ? AggKind::kCount
-          : (filter.agg == FilterAgg::kSum
-                 ? AggKind::kSum
-                 : (filter.agg == FilterAgg::kMin ? AggKind::kMin
-                                                  : AggKind::kMax));
-  std::string agg_column = filter.agg == FilterAgg::kCount
-                               ? std::string()
-                               : canonical_heads[filter.agg_head_index];
-  std::string agg_detail;
-  switch (agg_kind) {
-    case AggKind::kCount: agg_detail = "COUNT"; break;
-    case AggKind::kSum: agg_detail = "SUM(" + agg_column + ")"; break;
-    case AggKind::kMin: agg_detail = "MIN(" + agg_column + ")"; break;
-    case AggKind::kMax: agg_detail = "MAX(" + agg_column + ")"; break;
+  std::string agg_detail(FilterAggName(filter.agg));
+  if (layout.kind != AggKind::kCount) {
+    agg_detail += "(" + layout.agg_column + ")";
   }
 
   // Every answer row goes through one GROUP BY + FILTER sink, in memory
   // until the budget asks it to spill (DESIGN.md §14). It dedups the
   // answer rows, so it also stands in for the union of the disjuncts.
-  std::function<Status(const Tuple&)> row_check;
-  if (filter.agg == FilterAgg::kSum && options.require_nonnegative_sum) {
-    std::size_t agg_idx = param_columns.size() + filter.agg_head_index;
-    row_check = [agg_idx](const Tuple& t) -> Status {
-      if (!t[agg_idx].IsNumeric() || t[agg_idx].AsNumber() < 0) {
-        return FailedPreconditionError(
-            "SUM filter saw a negative or non-numeric weight; monotone "
-            "pruning would be unsound (set require_nonnegative_sum=false "
-            "to override)");
-      }
-      return Status::Ok();
+  SpillGroupSink::RowCheck row_check;
+  if (layout.kind == AggKind::kSum) {
+    row_check = [&layout](std::span<const Value> row) {
+      return layout.CheckRow(row);
     };
   }
-  SpillGroupSink sink(Schema(answer_columns), param_columns.size(), agg_kind,
-                      agg_column, "_agg", std::move(row_check),
+  SpillGroupSink sink(Schema(layout.columns), layout.params.size(),
+                      layout.kind, layout.agg_column, "_agg",
+                      std::move(row_check),
                       ctx != nullptr ? ctx->spill_env() : nullptr, ctx,
                       nullptr);
 
@@ -107,8 +114,6 @@ Result<Relation> EvaluateFlock(
   }
   auto eval_disjunct = [&](std::size_t d) -> Status {
     const ConjunctiveQuery& cq = flock.query.disjuncts[d];
-    std::vector<std::string> wanted = param_columns;
-    for (const std::string& h : cq.head_vars) wanted.push_back(h);
     CqEvalOptions cq_options;
     if (d < options.per_disjunct.size()) cq_options = options.per_disjunct[d];
     static_cast<ExecContext&>(cq_options) = options.At(disjunct_nodes[d]);
@@ -124,8 +129,9 @@ Result<Relation> EvaluateFlock(
     }
     if (n_disjuncts == 1) cq_options.sink = &sink;
     ScopedOp span(disjunct_nodes[d], tr);
-    Result<Relation> bindings = EvaluateConjunctiveBindings(
-        cq, resolver, wanted, cq_options, &disjunct_peaks[d]);
+    Result<Relation> bindings =
+        EvaluateConjunctiveBindings(cq, resolver, layout.DisjunctColumns(cq),
+                                    cq_options, &disjunct_peaks[d]);
     if (!bindings.ok()) return bindings.status();
     disjunct_answers[d] = std::move(*bindings);
     return Status::Ok();
@@ -187,12 +193,18 @@ Result<Relation> EvaluateFlock(
     node->rows_out = grouped.size();
   }
 
-  Relation result;
+  // Finish's groups are unique by key and sorted, so dropping the
+  // aggregate column leaves the sorted parameter assignments.
+  Relation result{Schema(layout.params)};
   {
     OpMetrics* node = m != nullptr ? m->AddChild("project") : nullptr;
     ScopedOp span(node, tr);
-    result = Project(grouped, param_columns, node, ctx);
-    result.SortRows();
+    result.mutable_rows() = std::move(grouped.mutable_rows());
+    for (Tuple& row : result.mutable_rows()) row.pop_back();
+    if (node != nullptr) {
+      node->rows_in += result.size();
+      node->rows_out += result.size();
+    }
   }
   if (Status s = options.Check(); !s.ok()) return s;
   if (m != nullptr) m->rows_out += result.size();

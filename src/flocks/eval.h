@@ -15,12 +15,14 @@
 #define QF_FLOCKS_EVAL_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "flocks/cq_eval.h"
 #include "flocks/flock.h"
+#include "relational/ops.h"
 
 namespace qf {
 
@@ -40,9 +42,6 @@ struct FlockEvalOptions : ExecContext {
   // policy); empty means text order everywhere. Their execution context
   // is always this one.
   std::vector<CqEvalOptions> per_disjunct;
-  // Verify SUM filters only see non-negative weights (the monotonicity
-  // precondition of the Future Work section).
-  bool require_nonnegative_sum = true;
 };
 
 struct FlockEvalInfo {
@@ -67,6 +66,29 @@ Result<Relation> EvaluateFlock(
 // Sorted "$"-tagged parameter columns of `flock` — the schema of its
 // result.
 std::vector<std::string> FlockParameterColumns(const QueryFlock& flock);
+
+// The answer rows a flock's filter groups, as every monotone evaluator
+// (direct, incremental) lays them out: the parameter columns, then one
+// canonical "_h<i>" column per head position, so disjuncts with
+// differently named head variables (Fig. 4) union cleanly. The group key
+// is the parameter columns.
+struct FlockAnswerLayout {
+  std::vector<std::string> params;   // FlockParameterColumns(flock)
+  std::vector<std::string> columns;  // params, then "_h0", "_h1", ...
+  AggKind kind = AggKind::kCount;
+  std::string agg_column;  // the column the aggregate reads; "" for COUNT
+  std::size_t agg_idx = 0;  // its index in `columns`; 0 for COUNT
+
+  // The columns to evaluate disjunct `cq` onto: the parameters, then its
+  // own head variables, which land positionally on the "_h<i>" columns.
+  std::vector<std::string> DisjunctColumns(const ConjunctiveQuery& cq) const;
+
+  // A SUM filter's weight check: a negative or non-numeric weight makes
+  // monotone pruning unsound (the Future Work section's precondition).
+  // OK for every row under the other aggregates.
+  Status CheckRow(std::span<const Value> row) const;
+};
+FlockAnswerLayout FlockAnswerColumns(const QueryFlock& flock);
 
 }  // namespace qf
 

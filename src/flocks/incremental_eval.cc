@@ -1,6 +1,5 @@
 #include "flocks/incremental_eval.h"
 
-#include <cmath>
 #include <set>
 #include <utility>
 
@@ -36,26 +35,6 @@ std::map<std::string, bool> CollectPredicates(const UnionQuery& query) {
     }
   }
   return preds;
-}
-
-// The exact SUM-soundness check of flocks/eval.cc, applied per answer row
-// before it enters the cached state. The message must match the direct
-// evaluator's byte for byte: differential tests compare statement errors.
-Status CheckSumRow(const Tuple& row, std::size_t agg_idx) {
-  if (!row[agg_idx].IsNumeric() || row[agg_idx].AsNumber() < 0) {
-    return FailedPreconditionError(
-        "SUM filter saw a negative or non-numeric weight; monotone "
-        "pruning would be unsound (set require_nonnegative_sum=false "
-        "to override)");
-  }
-  return Status::Ok();
-}
-
-// True when `v` is exactly representable as an integer (addition over such
-// doubles is associative, the condition for bit-identical incremental sums).
-bool IntegralSummand(const Value& v) {
-  double x = v.AsNumber();
-  return std::nearbyint(x) == x && std::abs(x) <= 9007199254740992.0;
 }
 
 }  // namespace
@@ -159,14 +138,6 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
                                         const IncrementalEvalOptions& opts,
                                         IncrementalFlockState* st) {
   (void)name;
-  std::vector<std::string> param_columns = FlockParameterColumns(flock);
-  std::vector<std::string> answer_columns = param_columns;
-  for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
-    answer_columns.push_back("_h" + std::to_string(i));
-  }
-  std::size_t agg_idx = param_columns.size() + flock.filter.agg_head_index;
-  bool check_sum = flock.filter.agg == FilterAgg::kSum;
-
   PredicateResolver resolver(db);
   OpMetrics* m = opts.metrics;
   TraceSink* tr = opts.tracer();
@@ -174,28 +145,29 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
   std::vector<OpMetrics*> disjunct_nodes(n_disjuncts, nullptr);
   if (m != nullptr) disjunct_nodes = m->AddChildren(n_disjuncts, "disjunct");
 
-  // Serial over disjuncts (each CQ evaluation is itself morsel-parallel);
-  // absorbing in disjunct order reproduces the direct evaluator's union
-  // order, so the cached answer set is the same first-occurrence sequence.
+  // Every disjunct's final join streams its answer rows straight into the
+  // state. Serial over disjuncts (each CQ evaluation is itself
+  // morsel-parallel): absorbing in disjunct order reproduces the direct
+  // evaluator's union order, so the table holds the same first-occurrence
+  // sequence.
+  st->set_context(opts.ctx);
   for (std::size_t d = 0; d < n_disjuncts; ++d) {
     const ConjunctiveQuery& cq = flock.query.disjuncts[d];
-    std::vector<std::string> wanted = param_columns;
-    for (const std::string& h : cq.head_vars) wanted.push_back(h);
     CqEvalOptions cq_options;
     static_cast<ExecContext&>(cq_options) = opts.At(disjunct_nodes[d]);
+    cq_options.sink = st;
     ScopedOp span(disjunct_nodes[d], tr);
-    Result<Relation> bindings =
-        EvaluateConjunctiveBindings(cq, resolver, wanted, cq_options);
+    const std::size_t before = st->answer_rows();
+    Result<Relation> bindings = EvaluateConjunctiveBindings(
+        cq, resolver, st->layout().DisjunctColumns(cq), cq_options);
     if (!bindings.ok()) return bindings.status();
-    Relation renamed = Rename(std::move(*bindings), answer_columns);
-    for (const Tuple& row : renamed.rows()) {
-      if (check_sum) {
-        if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
-      }
-      st->AbsorbAnswer(row);
+    if (disjunct_nodes[d] != nullptr) {
+      disjunct_nodes[d]->rows_out += st->answer_rows() - before;
     }
     if (Status s = opts.Check(); !s.ok()) return s;
   }
+  if (Status s = st->ChargeGrowth(); !s.ok()) return s;
+  st->set_context(nullptr);
   st->SealBatch();
 
   for (const auto& [pred, negated] : CollectPredicates(flock.query)) {
@@ -334,10 +306,8 @@ Status IncrementalEvaluator::Run(const std::string& name,
         // drops this state.
         if (opts.state_budget > 0) {
           std::uint64_t projected = st.ApproxBytes();
-          std::size_t answer_arity =
-              st.param_count() + flock.query.head_arity();
           projected += static_cast<std::uint64_t>(total_delta) *
-                       ApproxTupleBytes(answer_arity);
+                       ApproxTupleBytes(st.layout().columns.size());
           if (!MakeRoom(name, projected, opts.state_budget)) {
             states_.erase(it);
             last_use_.erase(name);
@@ -350,14 +320,6 @@ Status IncrementalEvaluator::Run(const std::string& name,
         // the query with that one occurrence bound to the delta slice and
         // everything else bound to the full new relations. Overlaps
         // (derivations with several delta tuples) are absorbed by dedup.
-        std::vector<std::string> param_columns = FlockParameterColumns(flock);
-        std::vector<std::string> answer_columns = param_columns;
-        for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
-          answer_columns.push_back("_h" + std::to_string(i));
-        }
-        std::size_t agg_idx =
-            param_columns.size() + flock.filter.agg_head_index;
-        bool check_sum = flock.filter.agg == FilterAgg::kSum;
         std::map<std::string, const Relation*> extra;
         std::set<std::string> changed_names;
         for (const auto& [rel, slice] : changed) {
@@ -366,11 +328,9 @@ Status IncrementalEvaluator::Run(const std::string& name,
           changed_names.insert(rel);
         }
         PredicateResolver resolver(db, extra);
-        std::vector<Tuple> staging;
+        std::vector<Relation> staged;
         for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
           const ConjunctiveQuery& cq = flock.query.disjuncts[d];
-          std::vector<std::string> wanted = param_columns;
-          for (const std::string& h : cq.head_vars) wanted.push_back(h);
           for (std::size_t j = 0; j < cq.subgoals.size(); ++j) {
             const Subgoal& sg = cq.subgoals[j];
             if (!sg.is_positive() || changed_names.count(sg.predicate()) == 0) {
@@ -389,31 +349,29 @@ Status IncrementalEvaluator::Run(const std::string& name,
             static_cast<ExecContext&>(cq_options) = opts.At(node);
             ScopedOp span(node, cq_options.tracer());
             Result<Relation> bindings = EvaluateConjunctiveBindings(
-                delta_cq, resolver, wanted, cq_options);
+                delta_cq, resolver, st.layout().DisjunctColumns(cq),
+                cq_options);
             if (!bindings.ok()) return bindings.status();
-            Relation renamed = Rename(std::move(*bindings), answer_columns);
-            for (const Tuple& row : renamed.rows()) {
-              staging.push_back(row);
-            }
+            staged.push_back(std::move(*bindings));
             if (Status s = opts.Check(); !s.ok()) return s;
           }
         }
-        // Pre-scan the staged rows BEFORE absorbing: a SUM violation must
-        // surface as the evaluator's error with the state untouched, and
-        // a non-integral summand must drop the state without having
-        // polluted it (the fallback full run then owns the statement).
-        if (check_sum) {
-          for (const Tuple& row : staging) {
-            if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
-          }
-          for (const Tuple& row : staging) {
-            if (!IntegralSummand(row[agg_idx])) {
-              states_.erase(name);
-              return finish("unsupported(sum-inexact)");
-            }
+        // Check the staged rows BEFORE absorbing: a rejected SUM weight
+        // must surface as the evaluator's error with the state untouched.
+        // A non-integral summand drops the state after absorbing (the
+        // fallback full run then owns the statement).
+        for (const Relation& rows : staged) {
+          for (const Tuple& row : rows.rows()) {
+            if (Status s = st.layout().CheckRow(row); !s.ok()) return s;
           }
         }
-        for (const Tuple& row : staging) st.AbsorbAnswer(row);
+        for (const Relation& rows : staged) {
+          for (const Tuple& row : rows.rows()) st.AbsorbAnswer(row);
+        }
+        if (!st.sum_exact()) {
+          states_.erase(name);
+          return finish("unsupported(sum-inexact)");
+        }
         st.SealBatch();
         st.delta_batches += 1;
         for (IncrementalFlockState::RelationMark& mark : st.marks()) {

@@ -4,8 +4,6 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/resource.h"
-#include "flocks/eval.h"
 
 namespace qf {
 
@@ -86,25 +84,10 @@ IncrementalFlockState::IncrementalFlockState(std::string flock_name,
     : flock_name_(std::move(flock_name)),
       query_(flock.query),
       built_filter_(flock.filter),
-      param_columns_(FlockParameterColumns(flock)),
-      n_params_(param_columns_.size()),
-      window_capacity_(window_capacity) {
-  switch (flock.filter.agg) {
-    case FilterAgg::kCount: agg_kind_ = AggKind::kCount; break;
-    case FilterAgg::kSum: agg_kind_ = AggKind::kSum; break;
-    case FilterAgg::kMin: agg_kind_ = AggKind::kMin; break;
-    case FilterAgg::kMax: agg_kind_ = AggKind::kMax; break;
-  }
-  std::vector<std::string> answer_columns = param_columns_;
-  for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
-    answer_columns.push_back("_h" + std::to_string(i));
-  }
-  agg_idx_ = flock.filter.agg == FilterAgg::kCount
-                 ? 0
-                 : n_params_ + flock.filter.agg_head_index;
-  answers_ = Relation(Schema(answer_columns));
-  for (std::size_t i = 0; i < n_params_; ++i) param_idx_.push_back(i);
-}
+      layout_(FlockAnswerColumns(flock)),
+      window_capacity_(window_capacity),
+      table_(layout_.columns.size(), layout_.params.size(), layout_.kind,
+             layout_.agg_idx) {}
 
 IncrementalFlockState::Compat IncrementalFlockState::CompatibilityWith(
     const QueryFlock& flock) const {
@@ -135,80 +118,50 @@ IncrementalFlockState::Compat IncrementalFlockState::CompatibilityWith(
   }
 }
 
-bool IncrementalFlockState::AbsorbAnswer(const Tuple& row) {
-  QF_CHECK_MSG(row.size() == answers_.arity(),
+bool IncrementalFlockState::AbsorbAnswer(std::span<const Value> row) {
+  QF_CHECK_MSG(row.size() == table_.arity(),
                "answer row arity mismatch in incremental state");
-  TupleHash hash;
-  std::uint32_t ref = static_cast<std::uint32_t>(answers_.size());
-  bool fresh = answer_set_.Insert(
-      ref, hash(row),
-      [&](std::uint32_t prev) { return answers_.rows()[prev] == row; },
-      probes_);
-  if (!fresh) return false;
-  answers_.Add(row);
-
-  KeyCols key(param_idx_, row.size());
-  auto [gid, inserted] = groups_.Upsert(
-      ref, key.Hash(row),
-      [&](std::uint32_t rep) { return key.Eq(answers_.rows()[rep], row); },
-      probes_);
-  if (inserted) {
-    aggs_.emplace_back();
+  AnswerTable::Inserted added =
+      table_.Insert(row, table_.KeyHash(row), probes_);
+  if (!added.new_row) return false;
+  if (added.new_group) {
     pending_.push_back(0);
     ring_of_.push_back(-1);
   }
-  GroupAgg& acc = aggs_[gid];
-  // The count is maintained for every aggregate kind: it is the COUNT
-  // aggregate itself, and the per-batch ring contribution for the rest.
-  acc.count += 1;
-  switch (agg_kind_) {
-    case AggKind::kCount:
-      break;
-    case AggKind::kSum: {
-      QF_CHECK_MSG(row[agg_idx_].IsNumeric(), "SUM over non-numeric value");
-      double v = row[agg_idx_].AsNumber();
-      acc.sum += v;
-      // Integral doubles below 2^53 add exactly in any association — the
-      // condition under which incremental sums are bit-identical to a
-      // from-scratch GroupAggregate at every thread count.
-      if (std::nearbyint(v) != v || std::abs(v) > 9007199254740992.0) {
-        sum_exact_ = false;
-      }
-      break;
+  ++pending_[added.group];
+  if (layout_.kind == AggKind::kSum) {
+    // Integral doubles below 2^53 add exactly in any association — the
+    // condition under which incremental sums are bit-identical to a
+    // from-scratch fold at every thread count.
+    double v = row[layout_.agg_idx].AsNumber();
+    if (std::nearbyint(v) != v || std::abs(v) > 9007199254740992.0) {
+      sum_exact_ = false;
     }
-    case AggKind::kMin:
-      if (!acc.has_extreme || row[agg_idx_] < acc.extreme) {
-        acc.extreme = row[agg_idx_];
-        acc.has_extreme = true;
-      }
-      break;
-    case AggKind::kMax:
-      if (!acc.has_extreme || acc.extreme < row[agg_idx_]) {
-        acc.extreme = row[agg_idx_];
-        acc.has_extreme = true;
-      }
-      break;
   }
-  ++pending_[gid];
   return true;
 }
 
-Value IncrementalFlockState::GroupValue(std::uint32_t gid) const {
-  const GroupAgg& acc = aggs_[gid];
-  switch (agg_kind_) {
-    case AggKind::kCount: return Value(acc.count);
-    case AggKind::kSum: return Value(acc.sum);
-    case AggKind::kMin:
-    case AggKind::kMax: return acc.extreme;
+Status IncrementalFlockState::Push(std::span<const Value> row) {
+  if (Status s = layout_.CheckRow(row); !s.ok()) return s;
+  if (AbsorbAnswer(row) && answer_rows() % QueryContext::kPollStride == 0) {
+    return ChargeGrowth();
   }
-  return Value(acc.count);
+  return Status::Ok();
+}
+
+Status IncrementalFlockState::ChargeGrowth() {
+  if (ctx_ == nullptr) return Status::Ok();
+  const std::uint64_t bytes = table_.ApproxBytes() - charged_;
+  charged_ += bytes;
+  if (!ctx_->Charge(bytes)) return ctx_->Check();
+  return Status::Ok();
 }
 
 void IncrementalFlockState::SealBatch() {
   ++batch_count_;
   // Every tracked ring sees every batch (0 contributions included), so
   // last-n horizons line up across groups.
-  for (std::size_t gid = 0; gid < aggs_.size(); ++gid) {
+  for (std::size_t gid = 0; gid < pending_.size(); ++gid) {
     if (ring_of_[gid] >= 0) {
       rings_[static_cast<std::size_t>(ring_of_[gid])].Add(pending_[gid]);
     }
@@ -217,27 +170,25 @@ void IncrementalFlockState::SealBatch() {
   // with their cumulative count: their per-batch history before tracking
   // was never recorded (the frontier contract — this is why loosening
   // the threshold forces a rebuild).
-  for (std::size_t gid = 0; gid < aggs_.size(); ++gid) {
-    if (ring_of_[gid] < 0 &&
-        built_filter_.Accepts(GroupValue(static_cast<std::uint32_t>(gid)))) {
+  for (std::uint32_t gid = 0; gid < pending_.size(); ++gid) {
+    if (ring_of_[gid] < 0 && built_filter_.Accepts(table_.Aggregate(gid))) {
       ring_of_[gid] = static_cast<std::int32_t>(rings_.size());
       rings_.emplace_back(window_capacity_);
-      rings_.back().Add(static_cast<std::uint64_t>(aggs_[gid].count));
+      rings_.back().Add(
+          static_cast<std::uint64_t>(table_.accumulator(gid).count));
     }
   }
   for (std::uint64_t& p : pending_) p = 0;
 }
 
 Relation IncrementalFlockState::Serve(const FilterCondition& filter) const {
-  Relation out{Schema(param_columns_)};
-  for (std::size_t gid = 0; gid < aggs_.size(); ++gid) {
-    if (!filter.Accepts(GroupValue(static_cast<std::uint32_t>(gid)))) {
-      continue;
-    }
-    const Tuple& rep =
-        answers_.rows()[groups_.ref_at(static_cast<std::uint32_t>(gid))];
-    out.Add(Tuple(rep.begin(), rep.begin() + static_cast<std::ptrdiff_t>(
-                                                 n_params_)));
+  // Keys are unique per group, so the passing keys sort straight into
+  // the direct evaluator's result.
+  Relation out{Schema(layout_.params)};
+  for (std::uint32_t gid = 0; gid < table_.groups(); ++gid) {
+    if (!filter.Accepts(table_.Aggregate(gid))) continue;
+    std::span<const Value> key = table_.key(gid);
+    out.Add(Tuple(key.begin(), key.end()));
   }
   out.SortRows();
   out.set_name("flock_result");
@@ -246,16 +197,8 @@ Relation IncrementalFlockState::Serve(const FilterCondition& filter) const {
 
 const TiltedTimeWindow* IncrementalFlockState::RingFor(
     const Tuple& params) const {
-  if (params.size() != n_params_) return nullptr;
-  KeyCols probe(param_idx_, params.size());
-  KeyCols stored(param_idx_, answers_.arity());
   std::uint64_t probes = 0;
-  std::uint32_t gid = groups_.Find(
-      probe.Hash(params),
-      [&](std::uint32_t rep) {
-        return probe.EqAcross(params, stored, answers_.rows()[rep]);
-      },
-      probes);
+  std::uint32_t gid = table_.Find(params, probes);
   if (gid == FlatIdTable::kNone) return nullptr;
   std::int32_t r = ring_of_[gid];
   return r >= 0 ? &rings_[static_cast<std::size_t>(r)] : nullptr;
@@ -263,12 +206,8 @@ const TiltedTimeWindow* IncrementalFlockState::RingFor(
 
 std::uint64_t IncrementalFlockState::ApproxBytes() const {
   std::uint64_t bytes =
-      static_cast<std::uint64_t>(answers_.size()) *
-      ApproxTupleBytes(answers_.arity());
-  // Flat tables: ~24 bytes per element at 3/4 load (slot + dense arrays).
-  bytes += static_cast<std::uint64_t>(answer_set_.size() + groups_.size()) * 24;
-  bytes += aggs_.size() * (sizeof(GroupAgg) + sizeof(std::uint64_t) +
-                           sizeof(std::int32_t));
+      table_.ApproxBytes() +
+      pending_.size() * (sizeof(std::uint64_t) + sizeof(std::int32_t));
   for (const TiltedTimeWindow& ring : rings_) bytes += ring.ApproxBytes();
   return bytes;
 }

@@ -1,4 +1,4 @@
-// Per-flock incremental evaluation state (ROADMAP item 2; DESIGN.md §13).
+// Per-flock incremental evaluation state (DESIGN.md §13).
 //
 // A RUN today recomputes flock support from scratch. But the flock
 // pipeline's expensive product — the deduplicated answer relation and its
@@ -8,35 +8,41 @@
 // tuple, and absorbing them into the cached answer set updates every
 // group aggregate without rescanning history.
 //
-// IncrementalFlockState is that cache: the answer set (flat-hash deduped,
-// first-occurrence order — the same set the direct evaluator unions), a
-// group table keyed on the parameter columns with one scalar accumulator
-// per group (mirroring relational/ops.cc GroupAggregate exactly), and an
-// FP-Stream-style tilted-time-window ring per *frequent* group recording
-// how many answers each delta batch contributed — the "frequent in the
-// last N batches" history, kept only for groups on the a-priori frontier
-// (groups passing the filter the state was built with).
+// IncrementalFlockState is that cache. Its answers live in the same
+// AnswerTable (relational/answer_table.h) the direct evaluator's GROUP BY
+// sink groups them in: distinct rows in first-occurrence order (the order
+// the direct evaluator unions them in), grouped by the parameter columns,
+// one accumulator per group. By the group id the table reports, the state
+// keeps only its batch bookkeeping: each group's count in the open batch
+// and, for *frequent* groups, an FP-Stream-style tilted-time-window ring
+// recording how many answers each delta batch contributed — the "frequent
+// in the last N batches" history, kept only for groups on the a-priori
+// frontier (groups passing the filter the state was built with).
 //
 // The state is pure bookkeeping; deciding when it is valid and feeding it
 // delta bindings is flocks/incremental_eval.h. Exactness contract: a
 // Serve() after any sequence of AbsorbAnswer/SealBatch calls is
 // bit-identical to the direct evaluator over the full current data —
-// which is why the answer set and the accumulators are kept for *all*
-// groups, not just frequent ones (a sub-threshold group must be able to
-// cross the threshold later; dedup needs the full set). Only the ring
-// history is frontier-pruned.
+// which is why the table keeps *all* groups, not just frequent ones (a
+// sub-threshold group must be able to cross the threshold later; dedup
+// needs the full set). Only the ring history is frontier-pruned.
 #ifndef QF_MINING_INCREMENTAL_H_
 #define QF_MINING_INCREMENTAL_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/flat_hash.h"
+#include "common/resource.h"
+#include "common/status.h"
+#include "flocks/eval.h"
 #include "flocks/flock.h"
-#include "relational/ops.h"
+#include "relational/answer_table.h"
 #include "relational/relation.h"
+#include "relational/spill.h"
 
 namespace qf {
 
@@ -99,7 +105,7 @@ class TiltedTimeWindow {
 // The cached evaluation state of one flock. Lifecycle:
 //
 //   IncrementalFlockState state(flock);        // fixes query + filter
-//   for (row : full answer rows)  state.AbsorbAnswer(row);
+//   for (row : full answer rows)  state.Push(row);  // the build's sink
 //   state.SealBatch();                          // batch 0 = initial build
 //   ... per delta run: AbsorbAnswer(delta rows); SealBatch(); ...
 //   Relation r = state.Serve(filter);           // bit-identical result
@@ -108,7 +114,7 @@ class TiltedTimeWindow {
 // tracks sum_exact(): it stays true while every summed value is integral
 // (exactly representable, associativity-free). incremental_eval refuses
 // to build or keep state once a non-integral sum value appears.
-class IncrementalFlockState {
+class IncrementalFlockState : public TupleSink {
  public:
   IncrementalFlockState(std::string flock_name, const QueryFlock& flock,
                         std::size_t window_capacity = 4);
@@ -117,6 +123,8 @@ class IncrementalFlockState {
   const UnionQuery& query() const { return query_; }
   // The filter the state was built (and its rings tracked) with.
   const FilterCondition& built_filter() const { return built_filter_; }
+  // The answer-row layout (FlockAnswerColumns of the built flock).
+  const FlockAnswerLayout& layout() const { return layout_; }
 
   // How the current declaration of the flock relates to the cached state:
   //   kSame        — identical query + filter: serve directly.
@@ -129,10 +137,23 @@ class IncrementalFlockState {
   enum class Compat { kSame, kTightened, kIncompatible };
   Compat CompatibilityWith(const QueryFlock& flock) const;
 
-  // Adds one answer row (parameter columns then canonical head columns,
-  // the direct evaluator's answer schema). Returns true when the row was
-  // new; duplicates are absorbed without effect (set semantics).
-  bool AbsorbAnswer(const Tuple& row);
+  // Adds one answer row in layout().columns order. Returns true when the
+  // row was new; duplicates are absorbed without effect (set semantics).
+  bool AbsorbAnswer(std::span<const Value> row);
+  bool AbsorbAnswer(const Tuple& row) {
+    return AbsorbAnswer(std::span<const Value>(row));
+  }
+
+  // The build's sink: checks each pushed row (FlockAnswerLayout::CheckRow)
+  // and absorbs it, charging the table's growth to the context set by
+  // set_context — so a memory budget bounds the build.
+  using TupleSink::Push;
+  Status Push(std::span<const Value> row) override;
+  // Where Push charges; null charges nothing. Charges are not released:
+  // they stay on the building statement's context.
+  void set_context(QueryContext* ctx) { ctx_ = ctx; }
+  // Charges growth not yet charged; the context's error if it tripped.
+  Status ChargeGrowth();
 
   // Seals the rows absorbed since the last Seal as one delta batch:
   // every tracked ring absorbs its pending per-batch count (0 included),
@@ -162,21 +183,22 @@ class IncrementalFlockState {
   std::uint64_t last_generation() const { return last_generation_; }
   void set_last_generation(std::uint64_t g) { last_generation_ = g; }
 
-  std::size_t answer_rows() const { return answers_.size(); }
-  std::size_t group_count() const { return aggs_.size(); }
+  std::size_t answer_rows() const { return table_.rows(); }
+  std::size_t group_count() const { return table_.groups(); }
   std::size_t tracked_rings() const { return rings_.size(); }
   std::uint64_t batches() const { return batch_count_; }
   bool sum_exact() const { return sum_exact_; }
-  std::size_t param_count() const { return n_params_; }
+  std::size_t param_count() const { return layout_.params.size(); }
 
   // Cumulative decision counters (SHOW FLOCK STATE).
   std::uint64_t full_builds = 0;
   std::uint64_t delta_batches = 0;
   std::uint64_t served_cached = 0;
 
-  // Approximate heap bytes of the cached state (answer rows via
-  // ApproxTupleBytes plus tables and rings) — what the evaluator holds
-  // against the session memory budget.
+  // Approximate heap bytes of the cached state — the answer table by the
+  // GROUP BY sink's rule (AnswerTable::ApproxBytes), plus the per-group
+  // batch bookkeeping and the rings. What the evaluator holds against the
+  // session memory budget.
   std::uint64_t ApproxBytes() const;
 
   // Multi-line description for SHOW FLOCK STATE.
@@ -187,32 +209,15 @@ class IncrementalFlockState {
   const TiltedTimeWindow* RingFor(const Tuple& params) const;
 
  private:
-  std::uint32_t GroupOf(const Tuple& row, bool* inserted);
-  Value GroupValue(std::uint32_t gid) const;
-
   std::string flock_name_;
   UnionQuery query_;
   FilterCondition built_filter_;
-  std::vector<std::string> param_columns_;  // "$"-tagged, sorted
-  std::size_t n_params_ = 0;
-  AggKind agg_kind_ = AggKind::kCount;
-  std::size_t agg_idx_ = 0;  // answer-row column the aggregate reads
+  FlockAnswerLayout layout_;
   std::size_t window_capacity_ = 4;
 
-  Relation answers_;          // params + canonical heads, absorb order
-  FlatTupleSet answer_set_;   // refs into answers_ (whole-row identity)
-  FlatGroupTable groups_;     // key = first n_params_ columns
-  std::vector<std::size_t> param_idx_;  // 0..n_params_-1 (KeyCols storage)
-
-  // Per group (dense id order): the scalar accumulator, the pending
-  // current-batch contribution, and the ring slot (-1 = untracked).
-  struct GroupAgg {
-    std::int64_t count = 0;
-    double sum = 0;
-    bool has_extreme = false;
-    Value extreme;
-  };
-  std::vector<GroupAgg> aggs_;
+  AnswerTable table_;
+  // Per group id of table_: the open batch's new rows, and the ring slot
+  // (-1 = untracked).
   std::vector<std::uint64_t> pending_;
   std::vector<std::int32_t> ring_of_;
   std::vector<TiltedTimeWindow> rings_;
@@ -222,6 +227,8 @@ class IncrementalFlockState {
   std::uint64_t batch_count_ = 0;
   bool sum_exact_ = true;
   std::uint64_t probes_ = 0;  // flat-hash slot inspections (diagnostics)
+  QueryContext* ctx_ = nullptr;
+  std::uint64_t charged_ = 0;  // bytes Push charged to ctx_
 };
 
 }  // namespace qf

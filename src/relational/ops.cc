@@ -433,10 +433,8 @@ Relation Distinct(const Relation& rel) {
 
 void AggAccumulator::Add(AggKind kind, std::span<const Value> row,
                          std::size_t agg_idx) {
-  if (kind == AggKind::kCount) {
-    count += 1;
-    return;
-  }
+  count += 1;
+  if (kind == AggKind::kCount) return;
   const Value& v = row[agg_idx];
   switch (kind) {
     case AggKind::kCount:

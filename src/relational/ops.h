@@ -108,7 +108,7 @@ struct AggAccumulator {
   Value extreme;
 
   // Folds in one row whose aggregated column is `agg_idx` (kCount reads
-  // no column).
+  // no column). `count` counts the rows under every kind.
   void Add(AggKind kind, std::span<const Value> row, std::size_t agg_idx);
   // The finished aggregate: an integer count, a double sum, or the
   // extreme value.

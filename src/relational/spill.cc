@@ -42,13 +42,6 @@ Status PollCtx(QueryContext* ctx, std::size_t i) {
   return Status::Ok();
 }
 
-// The flat-hash kernels address rows by 32-bit refs (same bound as
-// relational/ops.cc); one partition never legitimately exceeds it.
-void CheckRefRange(std::size_t rows) {
-  QF_CHECK_MSG(rows < 0xFFFFFFFFull,
-               "flat-hash kernels address at most 2^32-1 rows");
-}
-
 // --- record codecs ---------------------------------------------------
 // Every spill record leads with the row's 64-bit group-key hash so
 // recursion can redistribute records without decoding the values.
@@ -281,97 +274,20 @@ bool SpillReader::Next(std::string_view* record) {
 // ---------------------------------------------------------------------
 // SpillGroupSink.
 
-// Accounted bytes of one group: its key-table slot and stored hash, its
-// first-row id and its accumulator. Rows are charged ApproxTupleBytes.
-constexpr std::size_t kGroupBytes = 16 + sizeof(std::uint64_t) +
-                                    sizeof(std::uint32_t) +
-                                    sizeof(AggAccumulator);
-
-// Distinct rows and their groups in memory: the sink's whole state before
-// a spill, one partition's while Finish drains it.
-class SpillGroupSink::Table {
- public:
-  Table(std::size_t arity, std::size_t key_n)
-      : arity_(arity), key_n_(key_n) {}
-
-  std::size_t rows() const { return row_ids_.size(); }
-  std::size_t groups() const { return accs_.size(); }
-  std::span<const Value> row(std::size_t r) const {
-    return {values_.data() + r * arity_, arity_};
-  }
-
-  // Stores `row` unless an equal row is already present; true when new.
-  bool InsertRow(std::span<const Value> row, std::uint64_t& probes) {
-    CheckRefRange(rows());
-    bool inserted = row_ids_.Upsert(
-        TupleHash::Of(row),
-        [&](std::uint32_t r) {
-          return std::equal(row.begin(), row.end(),
-                            values_.begin() + r * arity_);
-        },
-        probes).second;
-    if (inserted) values_.insert(values_.end(), row.begin(), row.end());
-    return inserted;
-  }
-
-  // Folds the newest row into its group, upserting the group.
-  void AccumulateNewest(std::uint64_t key_hash, AggKind kind,
-                        std::size_t agg_idx, std::uint64_t& probes) {
-    const std::uint32_t r = static_cast<std::uint32_t>(rows() - 1);
-    std::span<const Value> newest = row(r);
-    auto [group, inserted] = group_ids_.Upsert(
-        key_hash,
-        [&](std::uint32_t g) {
-          return std::equal(newest.begin(), newest.begin() + key_n_,
-                            values_.begin() + first_row_[g] * arity_);
-        },
-        probes);
-    if (inserted) {
-      first_row_.push_back(r);
-      accs_.emplace_back();
-    }
-    accs_[group].Add(kind, newest, agg_idx);
-  }
-
-  // Appends key + aggregate of every group whose aggregate passes `keep`.
-  void Emit(AggKind kind, const std::function<bool(const Value&)>& keep,
-            std::vector<Tuple>& out) const {
-    for (std::size_t g = 0; g < accs_.size(); ++g) {
-      Value v = accs_[g].Result(kind);
-      if (keep != nullptr && !keep(v)) continue;
-      std::span<const Value> first = row(first_row_[g]);
-      Tuple t(first.begin(), first.begin() + key_n_);
-      t.push_back(v);
-      out.push_back(std::move(t));
-    }
-  }
-
- private:
-  std::size_t arity_;
-  std::size_t key_n_;
-  std::vector<Value> values_;            // distinct rows, arity-strided
-  FlatIdTable row_ids_;                  // full-row hash -> row id
-  FlatIdTable group_ids_;                // key hash -> group id
-  std::vector<std::uint32_t> first_row_;  // group id -> its first row
-  std::vector<AggAccumulator> accs_;      // group id -> aggregate
-};
-
 SpillGroupSink::SpillGroupSink(Schema schema, std::size_t key_columns,
                                AggKind kind, const std::string& agg_column,
-                               std::string output_column,
-                               std::function<Status(const Tuple&)> row_check,
+                               std::string output_column, RowCheck row_check,
                                SpillEnv* env, QueryContext* ctx,
                                OpMetrics* metrics)
     : arity_(schema.arity()),
       key_n_(key_columns),
       kind_(kind),
+      agg_idx_(kind == AggKind::kCount ? 0 : schema.IndexOfOrDie(agg_column)),
       row_check_(std::move(row_check)),
       env_(env),
       ctx_(ctx),
       metrics_(metrics),
-      table_(std::make_unique<Table>(arity_, key_n_)) {
-  QF_CHECK_MSG(key_n_ <= arity_, "group key wider than the row");
-  if (kind_ != AggKind::kCount) agg_idx_ = schema.IndexOfOrDie(agg_column);
+      table_(std::make_unique<AnswerTable>(arity_, key_n_, kind_, agg_idx_)) {
   for (std::size_t i = 0; i < key_n_; ++i) {
     out_columns_.push_back(schema.column(i));
   }
@@ -388,14 +304,14 @@ std::uint64_t SpillGroupSink::KeyHash(std::span<const Value> row) const {
   return TupleHash::Of(row.first(key_n_));
 }
 
-Status SpillGroupSink::AddToTable(Table& table, std::span<const Value> row,
-                                  std::uint64_t key_hash) {
-  if (!table.InsertRow(row, probes_)) return Status::Ok();
+Status SpillGroupSink::AddToTable(AnswerTable& table,
+                                  std::span<const Value> row,
+                                  std::uint64_t key_hash,
+                                  AnswerTable::Inserted* added) {
   if (row_check_ != nullptr) {
-    check_row_.assign(row.begin(), row.end());
-    if (Status s = row_check_(check_row_); !s.ok()) return s;
+    if (Status s = row_check_(row); !s.ok()) return s;
   }
-  table.AccumulateNewest(key_hash, kind_, agg_idx_, probes_);
+  *added = table.Insert(row, key_hash, probes_);
   return Status::Ok();
 }
 
@@ -405,16 +321,14 @@ Status SpillGroupSink::Push(std::span<const Value> row) {
   if (Status s = PollCtx(ctx_, ++pushed_rows_); !s.ok()) return status_ = s;
   const std::uint64_t key_hash = KeyHash(row);
   if (table_ == nullptr) return status_ = WriteRecord(row, key_hash);
-  const std::size_t before = table_->rows();
-  const std::size_t groups_before = table_->groups();
-  if (Status s = AddToTable(*table_, row, key_hash); !s.ok()) {
+  AnswerTable::Inserted added;
+  if (Status s = AddToTable(*table_, row, key_hash, &added); !s.ok()) {
     // A failed row check is the statement's answer, reported by Finish.
     if (check_status_.ok()) check_status_ = s;
     return Status::Ok();
   }
-  uncharged_groups_ += table_->groups() - groups_before;
-  if (table_->rows() != before &&
-      ++uncharged_ == QueryContext::kPollStride) {
+  if (added.new_group) ++uncharged_groups_;
+  if (added.new_row && ++uncharged_ == QueryContext::kPollStride) {
     return status_ = ChargePoint();
   }
   return Status::Ok();
@@ -440,7 +354,7 @@ Status SpillGroupSink::ChargePoint() {
 Status SpillGroupSink::Spill() {
   env_->stats.activations.fetch_add(1, std::memory_order_relaxed);
   writers_ = MakeWriters(*env_);
-  std::unique_ptr<Table> table = std::move(table_);
+  std::unique_ptr<AnswerTable> table = std::move(table_);
   for (std::size_t r = 0; r < table->rows(); ++r) {
     if (Status s = PollCtx(ctx_, r + 1); !s.ok()) return s;
     std::span<const Value> row = table->row(r);
@@ -482,7 +396,7 @@ Status SpillGroupSink::ProcessPartition(
   // Leaf: stream the partition through a fresh in-memory table. A group's
   // rows all land here, in push order, so its accumulation order matches
   // the unspilled sink's exactly.
-  Table table(arity_, key_n_);
+  AnswerTable table(arity_, key_n_, kind_, agg_idx_);
   OpGovernor gov(ctx_, row_bytes);
   OpGovernor group_gov(ctx_, kGroupBytes);
   SpillReader reader(*env_->vfs, path, env_);
@@ -493,13 +407,10 @@ Status SpillGroupSink::ProcessPartition(
     if (Status s = PollCtx(ctx_, ++i); !s.ok()) return s;
     std::uint64_t h = 0;
     if (Status s = DecodeRecord(rec, arity_, &h, &row); !s.ok()) return s;
-    const std::size_t before = table.rows();
-    const std::size_t groups_before = table.groups();
-    if (Status s = AddToTable(table, row, h); !s.ok()) return s;
-    if (table.rows() != before && !gov.Admit()) return ctx_->Check();
-    if (table.groups() != groups_before && !group_gov.Admit()) {
-      return ctx_->Check();
-    }
+    AnswerTable::Inserted added;
+    if (Status s = AddToTable(table, row, h, &added); !s.ok()) return s;
+    if (added.new_row && !gov.Admit()) return ctx_->Check();
+    if (added.new_group && !group_gov.Admit()) return ctx_->Check();
   }
   if (!reader.status().ok()) return reader.status();
   if ((!gov.Flush() || !group_gov.Flush()) && ctx_ != nullptr) {
@@ -510,7 +421,7 @@ Status SpillGroupSink::ProcessPartition(
   answer_rows_ += table.rows();
   groups_ += table.groups();
   mem_bytes_ += table_bytes;
-  table.Emit(kind_, keep, out);
+  table.Emit(keep, out);
   if (ctx_ != nullptr) ctx_->Release(table_bytes);  // drop the table
   return Status::Ok();
 }
@@ -526,7 +437,7 @@ Result<Relation> SpillGroupSink::Finish(
   if (table_ != nullptr) {
     answer_rows_ = table_->rows();
     groups_ = table_->groups();
-    table_->Emit(kind_, keep, rows);
+    table_->Emit(keep, rows);
     table_.reset();
     if (ctx_ != nullptr) ctx_->Release(charged_);
     charged_ = 0;

@@ -48,6 +48,7 @@
 #include "common/resource.h"
 #include "common/status.h"
 #include "common/vfs.h"
+#include "relational/answer_table.h"
 #include "relational/ops.h"
 #include "relational/relation.h"
 
@@ -192,17 +193,16 @@ class TupleSink {
 
 // The flock evaluator's GROUP BY + FILTER sink. Pushed rows are answer
 // rows: the group key is the leading `key_columns` columns. The sink
-// dedups full rows (set semantics) and upserts each new row's group:
-//   * In memory, distinct rows are kept once each, flat and arity-strided
-//     in first-occurrence order; a group is named by its first row, so
-//     keys are never copied. Every distinct row is charged
-//     ApproxTupleBytes(arity) to `ctx`, and every group the bytes of its
-//     table slot, first-row id and accumulator.
+// dedups full rows (set semantics) and groups them in an AnswerTable
+// (relational/answer_table.h):
+//   * In memory, one table holds every distinct row and group, charged to
+//     `ctx` by the table's byte rule (ApproxTupleBytes per row plus
+//     kGroupBytes per group).
 //   * At each charge point (every QueryContext::kPollStride new rows, and
 //     in Finish), if SpillWanted fires the sink writes its distinct rows,
-//     in order, to grace-hash partitions by key hash, frees its state, and
-//     partitions every later row as it arrives; Finish dedups and groups
-//     one partition at a time.
+//     in order, to grace-hash partitions by key hash, frees its table, and
+//     partitions every later row as it arrives; Finish streams one
+//     partition at a time through a fresh table, charged by the same rule.
 // Either way the result equals GroupAggregate(Distinct(pushed rows), ...)
 // restricted to the groups that pass the filter, bit for bit.
 class SpillGroupSink : public TupleSink {
@@ -210,12 +210,13 @@ class SpillGroupSink : public TupleSink {
   // `schema`: schema of the pushed rows. `env` (nullable) is where the
   // sink may spill; without one, or without a hard budget on `ctx`, it
   // never spills and an over-budget state is the context's
-  // RESOURCE_EXHAUSTED. `row_check` (nullable) runs once per distinct row
-  // before the row is aggregated; its first error is Finish's result.
+  // RESOURCE_EXHAUSTED. `row_check` (nullable) runs on each row before it
+  // enters a table; its first error is Finish's result.
+  using RowCheck = std::function<Status(std::span<const Value>)>;
   SpillGroupSink(Schema schema, std::size_t key_columns, AggKind kind,
                  const std::string& agg_column, std::string output_column,
-                 std::function<Status(const Tuple&)> row_check,
-                 SpillEnv* env, QueryContext* ctx, OpMetrics* metrics);
+                 RowCheck row_check, SpillEnv* env, QueryContext* ctx,
+                 OpMetrics* metrics);
   ~SpillGroupSink() override;
 
   using TupleSink::Push;
@@ -238,11 +239,9 @@ class SpillGroupSink : public TupleSink {
   bool spilled() const { return !writers_.empty(); }
 
  private:
-  class Table;
-
   std::uint64_t KeyHash(std::span<const Value> row) const;
-  Status AddToTable(Table& table, std::span<const Value> row,
-                    std::uint64_t key_hash);
+  Status AddToTable(AnswerTable& table, std::span<const Value> row,
+                    std::uint64_t key_hash, AnswerTable::Inserted* added);
   Status ChargePoint();
   Status Spill();
   Status WriteRecord(std::span<const Value> row, std::uint64_t key_hash);
@@ -256,17 +255,16 @@ class SpillGroupSink : public TupleSink {
   AggKind kind_;
   std::size_t agg_idx_ = 0;
   std::vector<std::string> out_columns_;
-  std::function<Status(const Tuple&)> row_check_;
+  RowCheck row_check_;
   SpillEnv* env_;
   QueryContext* ctx_;
   OpMetrics* metrics_;
-  std::unique_ptr<Table> table_;  // in-memory state; null once spilled
+  std::unique_ptr<AnswerTable> table_;  // in-memory state; null once spilled
   std::vector<std::unique_ptr<SpillWriter>> writers_;
   std::uint64_t charged_ = 0;     // bytes charged for table_
   std::size_t uncharged_ = 0;     // distinct rows since the last charge
   std::size_t uncharged_groups_ = 0;  // groups since the last charge
   std::string scratch_;
-  Tuple check_row_;
   std::uint64_t pushed_rows_ = 0;
   std::uint64_t answer_rows_ = 0;
   std::uint64_t groups_ = 0;

@@ -336,10 +336,6 @@ TEST(MonotoneFilterTest, NegativeWeightRejectedBySumGuard) {
             {FilterAgg::kSum, CompareOp::kGe, 1, 1});
   auto result = EvaluateFlock(f, db);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-
-  FlockEvalOptions options;
-  options.require_nonnegative_sum = false;
-  EXPECT_TRUE(EvaluateFlock(f, db, options).ok());
 }
 
 TEST(MonotoneFilterTest, MaxAndMinFilters) {

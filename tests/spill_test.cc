@@ -316,7 +316,7 @@ TEST(SpillGroupSinkTest, MatchesGroupAggregateOverDistinctRows) {
 TEST(SpillGroupSinkTest, RowCheckErrorAbortsFinish) {
   TestEnv t;
   Schema schema({"K", "V"});
-  auto check = [](const Tuple& row) {
+  auto check = [](std::span<const Value> row) {
     if (row[1] == Value(-1)) {
       return InvalidArgumentError("negative weight");
     }
@@ -340,7 +340,7 @@ TEST(SpillGroupSinkTest, RowCheckErrorAbortsSpilledFinish) {
   ctx.set_memory_budget(kSpillBudget);
   ctx.set_spill_env(&t.env);
   Relation pushed = MakeAnswerRows(3000, 11);
-  auto check = [](const Tuple& row) {
+  auto check = [](std::span<const Value> row) {
     if (row[2].AsNumber() < 0) return InvalidArgumentError("negative weight");
     return Status::Ok();
   };
