@@ -13,13 +13,13 @@ const std::string* StringPool::Intern(std::string_view s) {
   // Shard by content hash; the per-shard map reuses the same hash via its
   // own std::hash<string_view>, so equal strings always pick (and find
   // themselves in) the same shard.
-  Shard& shard =
-      shards_[std::hash<std::string_view>{}(s) & (kShards - 1)];
+  const std::size_t hash = std::hash<std::string_view>{}(s);
+  Shard& shard = shards_[hash & (kShards - 1)];
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.ids.find(s);
   if (it != shard.ids.end()) return it->second;
-  shard.strings.emplace_back(s);
-  const std::string* canonical = &shard.strings.back();
+  shard.strings.push_back(Entry{std::string(s), hash});
+  const std::string* canonical = &shard.strings.back().str;
   // The key view points at the deque-owned string, which never moves.
   shard.ids.emplace(std::string_view(*canonical), canonical);
   return canonical;

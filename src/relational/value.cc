@@ -52,10 +52,10 @@ std::size_t Value::Hash() const {
       return HashValueInto(seed, d);
     }
     case Kind::kString:
-      // Interned: hashing the canonical pointer is consistent with
-      // pointer-based equality and far cheaper than hashing bytes.
-      return HashValueInto(
-          seed, reinterpret_cast<std::uintptr_t>(&AsString()));
+      // The content hash cached in the pool: consistent with pointer
+      // equality (one pooled string per content) and the same in every
+      // process.
+      return HashCombine(seed, StringPool::HashOf(&AsString()));
   }
   return seed;
 }

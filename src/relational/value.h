@@ -8,8 +8,8 @@
 //
 // Strings are interned in the process-wide StringPool, so Value is
 // trivially copyable, string equality is a pointer compare, and string
-// hashing mixes a pointer — the fast paths of hash joins and
-// set-semantics deduplication.
+// hashing reads the content hash cached in the pool — the fast paths of
+// hash joins and set-semantics deduplication.
 #ifndef QF_RELATIONAL_VALUE_H_
 #define QF_RELATIONAL_VALUE_H_
 

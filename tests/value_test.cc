@@ -1,6 +1,11 @@
 // Unit tests for Value: kinds, ordering, hashing, printing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <string_view>
+
+#include "common/hash.h"
 #include "relational/value.h"
 
 namespace qf {
@@ -51,6 +56,15 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(7).Hash(), Value(7).Hash());
   EXPECT_EQ(Value("xyz").Hash(), Value("xyz").Hash());
   EXPECT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+}
+
+TEST(ValueTest, StringHashIsTheHashOfItsBytes) {
+  // Not of the pooled address: hash-table layouts, and so EXPLAIN ANALYZE
+  // probe counts and spill partitions, must not differ between processes.
+  const std::string bytes = "value_test.content_hash";
+  EXPECT_EQ(Value(bytes).Hash(),
+            HashCombine(static_cast<std::size_t>(Value::Kind::kString),
+                        std::hash<std::string_view>{}(bytes)));
 }
 
 TEST(ValueTest, HashSpreads) {
