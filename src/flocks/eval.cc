@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "relational/ops.h"
 #include "relational/spill.h"
 
 namespace qf {

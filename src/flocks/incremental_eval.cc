@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "flocks/cq_eval.h"
 #include "flocks/eval.h"
-#include "relational/ops.h"
 
 namespace qf {
 

@@ -1,5 +1,6 @@
 #include "mining/incremental.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -119,10 +120,11 @@ IncrementalFlockState::Compat IncrementalFlockState::CompatibilityWith(
 }
 
 bool IncrementalFlockState::AbsorbAnswer(std::span<const Value> row) {
-  QF_CHECK_MSG(row.size() == table_.arity(),
+  QF_CHECK_MSG(row.size() == layout_.columns.size(),
                "answer row arity mismatch in incremental state");
-  AnswerTable::Inserted added =
-      table_.Insert(row, table_.KeyHash(row), probes_);
+  std::uint64_t probes = 0;
+  AnswerTable::Inserted added = table_.Insert(
+      row, AnswerTable::KeyHash(row, layout_.params.size()), probes);
   if (!added.new_row) return false;
   if (added.new_group) {
     pending_.push_back(0);
@@ -174,8 +176,7 @@ void IncrementalFlockState::SealBatch() {
     if (ring_of_[gid] < 0 && built_filter_.Accepts(table_.Aggregate(gid))) {
       ring_of_[gid] = static_cast<std::int32_t>(rings_.size());
       rings_.emplace_back(window_capacity_);
-      rings_.back().Add(
-          static_cast<std::uint64_t>(table_.accumulator(gid).count));
+      rings_.back().Add(static_cast<std::uint64_t>(table_.count(gid)));
     }
   }
   for (std::uint64_t& p : pending_) p = 0;
@@ -197,11 +198,13 @@ Relation IncrementalFlockState::Serve(const FilterCondition& filter) const {
 
 const TiltedTimeWindow* IncrementalFlockState::RingFor(
     const Tuple& params) const {
-  std::uint64_t probes = 0;
-  std::uint32_t gid = table_.Find(params, probes);
-  if (gid == FlatIdTable::kNone) return nullptr;
-  std::int32_t r = ring_of_[gid];
-  return r >= 0 ? &rings_[static_cast<std::size_t>(r)] : nullptr;
+  // A scan: rings are looked up only by tests and introspection.
+  for (std::uint32_t gid = 0; gid < table_.groups(); ++gid) {
+    if (ring_of_[gid] >= 0 && std::ranges::equal(table_.key(gid), params)) {
+      return &rings_[static_cast<std::size_t>(ring_of_[gid])];
+    }
+  }
+  return nullptr;
 }
 
 std::uint64_t IncrementalFlockState::ApproxBytes() const {

@@ -188,7 +188,6 @@ class IncrementalFlockState : public TupleSink {
   std::size_t tracked_rings() const { return rings_.size(); }
   std::uint64_t batches() const { return batch_count_; }
   bool sum_exact() const { return sum_exact_; }
-  std::size_t param_count() const { return layout_.params.size(); }
 
   // Cumulative decision counters (SHOW FLOCK STATE).
   std::uint64_t full_builds = 0;
@@ -226,7 +225,6 @@ class IncrementalFlockState : public TupleSink {
   std::uint64_t last_generation_ = 0;
   std::uint64_t batch_count_ = 0;
   bool sum_exact_ = true;
-  std::uint64_t probes_ = 0;  // flat-hash slot inspections (diagnostics)
   QueryContext* ctx_ = nullptr;
   std::uint64_t charged_ = 0;  // bytes Push charged to ctx_
 };

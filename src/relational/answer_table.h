@@ -1,18 +1,13 @@
-// The distinct answer rows of a flock, grouped by their leading key
-// columns, with one running aggregate per group.
-//
-// Both places that turn answer rows into a flock result hold their rows
-// here: the GROUP BY + FILTER sink (relational/spill.h), in memory and for
-// each spilled partition, and the incremental per-flock state
-// (mining/incremental.h), which keeps the table between runs and attaches
-// its own per-group data by group id.
+// A flock's distinct answer rows, grouped by their leading key columns,
+// with one running aggregate per group. The GROUP BY + FILTER sink
+// (relational/spill.h) holds its rows here, in memory and per spilled
+// partition; the incremental flock state (mining/incremental.h) keeps one
+// between runs and attaches its own per-group data by group id.
 //
 // Rows are kept once each, flat and arity-strided, in first-occurrence
 // order; a group is named by its first row, so keys are never copied.
-// Group ids are dense in first-seen order and values fold into a group's
-// accumulator in insertion order, so a float SUM associates exactly as
-// the rows arrived. Accounted bytes: ApproxTupleBytes(arity) per row plus
-// kGroupBytes per group (ApproxBytes()).
+// Group ids are dense in first-seen order and each group folds its rows
+// in insertion order, so a float SUM associates as the rows arrived.
 #ifndef QF_RELATIONAL_ANSWER_TABLE_H_
 #define QF_RELATIONAL_ANSWER_TABLE_H_
 
@@ -47,7 +42,6 @@ class AnswerTable {
     QF_CHECK_MSG(key_n_ <= arity_, "group key wider than the row");
   }
 
-  std::size_t arity() const { return arity_; }
   std::size_t rows() const { return row_ids_.size(); }
   std::size_t groups() const { return accs_.size(); }
   std::span<const Value> row(std::size_t r) const {
@@ -57,13 +51,14 @@ class AnswerTable {
   std::span<const Value> key(std::uint32_t g) const {
     return row(first_row_[g]).first(key_n_);
   }
-  const AggAccumulator& accumulator(std::uint32_t g) const { return accs_[g]; }
+  std::int64_t count(std::uint32_t g) const { return accs_[g].count; }
   // The finished aggregate of group `g`.
   Value Aggregate(std::uint32_t g) const { return accs_[g].Result(kind_); }
 
-  // The hash Insert and Find expect: TupleHash of the key columns.
-  std::uint64_t KeyHash(std::span<const Value> row) const {
-    return TupleHash::Of(row.first(key_n_));
+  // The key hash Insert expects: TupleHash of the leading key_n columns.
+  static std::uint64_t KeyHash(std::span<const Value> row,
+                               std::size_t key_n) {
+    return TupleHash::Of(row.first(key_n));
   }
 
   struct Inserted {
@@ -72,8 +67,7 @@ class AnswerTable {
     std::uint32_t group = 0;  // the row's group; valid when new_row
   };
   // Stores `row` unless an equal row is present, and folds a new row into
-  // its group, upserting the group. `key_hash` is KeyHash(row); `probes`
-  // counts slot inspections.
+  // its group, upserting the group. `probes` counts slot inspections.
   Inserted Insert(std::span<const Value> row, std::uint64_t key_hash,
                   std::uint64_t& probes) {
     QF_CHECK_MSG(rows() < 0xFFFFFFFFull,
@@ -106,18 +100,6 @@ class AnswerTable {
     return out;
   }
 
-  // The group whose key equals `key` (key_n values), or FlatIdTable::kNone.
-  std::uint32_t Find(std::span<const Value> key, std::uint64_t& probes) const {
-    if (key.size() != key_n_) return FlatIdTable::kNone;
-    return group_ids_.Find(
-        TupleHash::Of(key),
-        [&](std::uint32_t g) {
-          return std::equal(key.begin(), key.end(),
-                            values_.begin() + first_row_[g] * arity_);
-        },
-        probes);
-  }
-
   // Appends key + aggregate of every group whose aggregate passes `keep`
   // (every group when `keep` is null), in group-id order.
   void Emit(const std::function<bool(const Value&)>& keep,
@@ -132,6 +114,7 @@ class AnswerTable {
     }
   }
 
+  // The accounted bytes: ApproxTupleBytes per row, kGroupBytes per group.
   std::uint64_t ApproxBytes() const {
     return static_cast<std::uint64_t>(rows()) * ApproxTupleBytes(arity_) +
            static_cast<std::uint64_t>(groups()) * kGroupBytes;

@@ -1,11 +1,9 @@
 #include "relational/spill.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 #include "common/crc32c.h"
-#include "common/flat_hash.h"
 #include "relational/serialize.h"
 #include "relational/tuple.h"
 
@@ -298,12 +296,6 @@ SpillGroupSink::~SpillGroupSink() {
   if (ctx_ != nullptr) ctx_->Release(charged_);
 }
 
-std::uint64_t SpillGroupSink::KeyHash(std::span<const Value> row) const {
-  // The key is the row's leading prefix: this is KeyCols::Hash over
-  // columns 0..key_n-1, so in-memory and partition hashes agree.
-  return TupleHash::Of(row.first(key_n_));
-}
-
 Status SpillGroupSink::AddToTable(AnswerTable& table,
                                   std::span<const Value> row,
                                   std::uint64_t key_hash,
@@ -319,7 +311,7 @@ Status SpillGroupSink::Push(std::span<const Value> row) {
   if (!status_.ok()) return status_;
   QF_CHECK_MSG(row.size() == arity_, "pushed row arity mismatch");
   if (Status s = PollCtx(ctx_, ++pushed_rows_); !s.ok()) return status_ = s;
-  const std::uint64_t key_hash = KeyHash(row);
+  const std::uint64_t key_hash = AnswerTable::KeyHash(row, key_n_);
   if (table_ == nullptr) return status_ = WriteRecord(row, key_hash);
   AnswerTable::Inserted added;
   if (Status s = AddToTable(*table_, row, key_hash, &added); !s.ok()) {
@@ -358,7 +350,8 @@ Status SpillGroupSink::Spill() {
   for (std::size_t r = 0; r < table->rows(); ++r) {
     if (Status s = PollCtx(ctx_, r + 1); !s.ok()) return s;
     std::span<const Value> row = table->row(r);
-    if (Status s = WriteRecord(row, KeyHash(row)); !s.ok()) return s;
+    Status s = WriteRecord(row, AnswerTable::KeyHash(row, key_n_));
+    if (!s.ok()) return s;
   }
   ctx_->Release(charged_);
   charged_ = 0;

@@ -239,7 +239,6 @@ class SpillGroupSink : public TupleSink {
   bool spilled() const { return !writers_.empty(); }
 
  private:
-  std::uint64_t KeyHash(std::span<const Value> row) const;
   Status AddToTable(AnswerTable& table, std::span<const Value> row,
                     std::uint64_t key_hash, AnswerTable::Inserted* added);
   Status ChargePoint();
