@@ -598,6 +598,40 @@ TEST(IncrementalEvalApiTest, MultiRelationAndMultiOccurrenceDeltas) {
   EXPECT_EQ(served.rows(), direct->rows());
 }
 
+// A delta with a negative SUM weight fails the statement exactly as the
+// direct evaluator does, and leaves the cached state as it was.
+TEST(IncrementalEvalApiTest, RejectedSumDeltaLeavesStateUntouched) {
+  std::map<std::string, Relation> no_views;
+  Database db;
+  Relation sales("sales", Schema({"BID", "Item", "W"}));
+  sales.AddRow({Value(1), Value("beer"), Value(3)});
+  sales.AddRow({Value(2), Value("wine"), Value(4)});
+  db.PutRelation(std::move(sales));
+  Result<QueryFlock> flock = MakeFlock("answer(B,W) :- sales(B,$1,W)",
+                                       {FilterAgg::kSum, CompareOp::kGe, 3, 1});
+  ASSERT_TRUE(flock.ok()) << flock.status().ToString();
+  IncrementalEvaluator inc;
+  IncrementalEvalOptions opts;
+  Relation served;
+  IncrementalRunInfo info;
+  ASSERT_TRUE(inc.Run("rev", *flock, db, no_views, opts, &served, &info).ok());
+  ASSERT_EQ(info.decision, "build");
+  const std::size_t rows = inc.state("rev")->answer_rows();
+  const std::size_t groups = inc.state("rev")->group_count();
+
+  Relation delta("d", Schema({"BID", "Item", "W"}));
+  delta.AddRow({Value(3), Value("wine"), Value(5)});
+  delta.AddRow({Value(4), Value("beer"), Value(-2)});
+  ApiAppend(inc, db, "sales", delta);
+  Status s = inc.Run("rev", *flock, db, no_views, opts, &served, &info);
+  Result<Relation> direct = EvaluateFlock(*flock, db);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(s.ToString(), direct.status().ToString());
+  ASSERT_NE(inc.state("rev"), nullptr);
+  EXPECT_EQ(inc.state("rev")->answer_rows(), rows);
+  EXPECT_EQ(inc.state("rev")->group_count(), groups);
+}
+
 TEST(IncrementalEvalApiTest, UnrelatedRelationChangeStaysCached) {
   std::map<std::string, Relation> no_views;
   Database db = ApiBaskets();
@@ -624,8 +658,8 @@ TEST(IncrementalEvalApiTest, UnrelatedRelationChangeStaysCached) {
 
 // --- generated flocks: every served result equals the direct evaluator ---
 
-// The threshold one step toward fewer survivors (`dir` = 1) or more
-// (`dir` = -1): up for >= / >, down for <= / <.
+// `flock` with its threshold one step toward fewer survivors (`dir` = 1)
+// or more (`dir` = -1): up for >= / >, down for <= / <.
 QueryFlock MoveThreshold(const QueryFlock& flock, int dir) {
   QueryFlock moved = flock;
   bool upper = flock.filter.cmp == CompareOp::kLe ||
@@ -695,11 +729,13 @@ TEST(IncrementalGeneratedTest, AppendsAndThresholdMovesMatchDirect) {
       };
       run(*flock);
       for (int i = 0; i < 3; ++i) append_and_run(*flock);
-      QueryFlock tight = MoveThreshold(*flock, 1);
+      const QueryFlock tight = MoveThreshold(*flock, 1);
       run(tight);
       append_and_run(tight);
-      if (run(*flock) == "rebuild(threshold)") ++threshold_rebuilds;
-      append_and_run(*flock);
+      // Below the built threshold: ring history is missing, so a rebuild.
+      const QueryFlock loose = MoveThreshold(*flock, -1);
+      if (run(loose) == "rebuild(threshold)") ++threshold_rebuilds;
+      append_and_run(loose);
     }
   }
   // The generator must reach every aggregate on the delta path, unions,
